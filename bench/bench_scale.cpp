@@ -11,10 +11,8 @@
 //                  O(m*d) round batch) at the same m, measured in the same
 //                  process — only while that reference is still reasonable
 //                  to run (--compare-max, default 2000), 0 elsewhere.
-//                  (The pre-cohort lockstep loop itself cannot be the
-//                  reference here: it builds a Client per id and refuses
-//                  empty shards, so it does not run past the dataset
-//                  size.)
+//                  cohort=1 is bitwise the cohort=none run: both take the
+//                  trainer's one streaming round loop.
 //   peak_rss_kb    ns_op carries getrusage(RUSAGE_SELF).ru_maxrss in KiB
 //                  (the schema has one numeric slot; the op name declares
 //                  the unit).  ru_maxrss is a process-lifetime high-water
@@ -196,7 +194,7 @@ int main(int argc, char** argv) {
   // synthetic sketch_m x d inbox — the >= 10^4-row regime where
   // sketch=auto engages — aggregated through aggregate_sharded with the
   // exact rule pair versus its SKETCH-* counterparts, exactly the swap
-  // run_cohort performs.  Isolated from the trainer so the record
+  // the centralized trainer performs on a cohort round.  Isolated from the trainer so the record
   // measures the aggregation win alone, not gradient computation.
   //
   // The inbox mirrors the regime the sketch screen is for: a unit-scale

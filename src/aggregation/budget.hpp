@@ -2,9 +2,10 @@
 // Shared Byzantine-budget arithmetic.
 //
 // Several layers clamp the designed fault budget t to what a thinner
-// inbox can actually tolerate: the centralized elastic loop (a quorum of
-// `rows` submissions may be far below n), the cohort path (only a sampled
-// subset uploads), and the sharded aggregator (each shard sees a slice).
+// inbox can actually tolerate: the centralized trainer's elastic rounds (a
+// quorum of `rows` submissions may be far below n) and cohort rounds (only
+// a sampled subset uploads), and the sharded aggregator (each shard sees a
+// slice).
 // They must all use the same rule — t bounded by the t < rows/3
 // resilience condition, i.e. at most (rows - 1) / 3 faults among `rows`
 // inputs — so the clamp lives here instead of being re-derived per call

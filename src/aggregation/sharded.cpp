@@ -42,6 +42,7 @@ Vector aggregate_sharded(const GradientBatch& batch,
     shard_ctx.n = rows;
     shard_ctx.t = clamp_byzantine_budget(ctx.t, rows);
     shard_ctx.pool = ctx.pool;
+    shard_ctx.metrics = ctx.metrics;
     AggregationWorkspace shard_ws(slice, ctx.pool);
     shard_outputs.set_row(i, shard_rule.aggregate(slice, shard_ws, shard_ctx));
     begin += rows;
@@ -51,6 +52,7 @@ Vector aggregate_sharded(const GradientBatch& batch,
   root_ctx.n = s;
   root_ctx.t = root_byzantine_budget(ctx.t, s);
   root_ctx.pool = ctx.pool;
+  root_ctx.metrics = ctx.metrics;
   AggregationWorkspace root_ws(shard_outputs, ctx.pool);
   return root_rule.aggregate(shard_outputs, root_ws, root_ctx);
 }

@@ -30,7 +30,8 @@ namespace bcl {
 /// must have been built over `batch`; it is only consumed on the
 /// shards == 1 path (per-shard workspaces are built over the slices).
 /// The shard count is clamped to the row count; ctx.t is split per the
-/// budget.hpp helpers.
+/// budget.hpp helpers, and ctx.pool / ctx.metrics reach every shard and
+/// root aggregation.
 Vector aggregate_sharded(const GradientBatch& batch,
                          AggregationWorkspace& workspace,
                          const AggregationRule& shard_rule,

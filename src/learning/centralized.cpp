@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 
@@ -13,23 +15,23 @@
 #include "linalg/distance_matrix.hpp"
 #include "linalg/gradient_batch.hpp"
 #include "linalg/sparse_rows.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace bcl {
 
 namespace {
 
-// Round distributions shared by the three centralized loops (lockstep /
-// elastic / cohort); no-op without a registry.
-void publish_round_histograms(obs::MetricsRegistry* registry,
-                              const RoundMetrics& metrics) {
-  if (registry == nullptr) return;
-  registry->histogram("round.wall_seconds").record(metrics.seconds);
-  registry->histogram("round.sim_seconds").record(metrics.sim_seconds);
-  registry->histogram("round.bytes").record(metrics.bytes_delivered);
+/// SKETCH-* counterpart of a rule, or nullptr when the registry has none
+/// (the sketched screen only exists for the Krum family and MD-MEAN).
+AggregationRulePtr sketched_counterpart(const AggregationRulePtr& rule) {
+  if (rule == nullptr) return nullptr;
+  const std::string name = rule->name();
+  if (name == "KRUM" || name == "MD-MEAN" ||
+      name.rfind("MULTIKRUM-", 0) == 0) {
+    return make_rule("SKETCH-" + name);
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -49,841 +51,312 @@ CentralizedTrainer::CentralizedTrainer(TrainingConfig config,
 }
 
 TrainingResult CentralizedTrainer::run() {
-  if (config_.cohort.enabled()) return run_cohort();
-  if (config_.faults.any() || config_.stale.enabled()) return run_elastic();
-  return run_lockstep();
-}
-
-TrainingResult CentralizedTrainer::run_lockstep() {
   const std::size_t n = config_.num_clients;
   const std::size_t f = config_.num_byzantine;
-  Rng root(config_.seed);
+  TrainerSetup setup(config_, factory_, *train_);
+  global_params_ = setup.initial_parameters();
+  const std::size_t dim = setup.dim();
 
-  // Partition data and build clients (one model replica each).
-  Rng partition_rng = root.split(1);
-  const auto shards =
-      ml::partition_dataset(*train_, n, config_.heterogeneity, partition_rng);
-  // Data-poisoning attacks (label-flip) corrupt the Byzantine shards at
-  // setup: those clients then train honestly on a poisoned copy of the
-  // training set, so their "own gradient" is already attacked.
-  ml::Dataset poisoned_train;
-  const ml::Dataset* byz_train = poison_byzantine_shards(
-      *config_.attack, *train_, shards, f, poisoned_train);
-  std::vector<std::unique_ptr<Client>> clients;
-  clients.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    clients.push_back(std::make_unique<Client>(
-        i, i < n - f ? train_ : byz_train, shards[i], factory_,
-        config_.batch_size, root.split(100 + i)));
-  }
-
-  // Global model initialization.
-  ml::Model server_model = factory_();
-  Rng init_rng = root.split(2);
-  server_model.initialize(init_rng);
-  global_params_ = server_model.parameters();
-
-  AggregationContext ctx;
-  ctx.n = n;
-  ctx.t = config_.resolved_t();
-  ctx.pool = config_.pool;
-  ctx.metrics = config_.metrics;
-
-  Rng attack_rng = root.split(3);
-  TrainingResult result;
-  result.history.reserve(config_.rounds);
-
-  // Simulated network pricing of the server round (async NetConfig only):
-  // clients upload over sampled links, the server waits for the quorum-th
-  // arrival, then broadcasts back.  The virtual server is node id n.
-  std::unique_ptr<DelayModel> delay_model;
-  if (config_.net.async) delay_model = make_delay_model(config_.net, n);
-  const std::size_t net_quorum = n - config_.resolved_t();
-
-  // Gradient compression (the `comp=` dimension): honest uploads and the
+  // Gradient compression (the comp= dimension): honest uploads and the
   // server's broadcast go through the codec with error feedback, so the
   // dropped mass re-enters later rounds and sparsified training still
-  // converges.  A null/identity codec takes the exact pre-codec code path
-  // (bitwise-identical results); wire sizes are still accounted, dense.
-  const Codec* codec =
-      config_.codec != nullptr && !config_.codec->identity()
-          ? config_.codec.get()
-          : nullptr;
+  // converges.  Without a codec the rows stay exact; wire sizes are still
+  // accounted, dense.
+  const Codec* codec = setup.codec();
   ErrorFeedback error_feedback(n + 1);  // clients 0..n-1, server id n
 
-  // All n gradients of a round live in one contiguous batch; clients write
-  // their rows in place (parallel; disjoint rows), so gradients never pass
-  // through intermediate per-client Vectors.  The honest rows occupy the
-  // contiguous prefix [0, n - f).
-  const std::size_t dim = server_model.parameter_count();
-  GradientBatch gradients(n, dim);
-  std::vector<double> losses(n, 0.0);
+  // Simulated pricing of the star round (async NetConfig only): members
+  // upload over sampled links, the server waits for the quorum-th arrival,
+  // then broadcasts back.
+  std::unique_ptr<DelayModel> delay_model;
+  if (config_.net.async) delay_model = make_delay_model(config_.net, n);
+
+  // Shard-rule / root-rule pair of the hierarchical aggregation; an empty
+  // root means "same rule at both levels".  With cohort= on, the sketched
+  // counterparts (the sketch= dimension) are resolved once and swapped in
+  // per round when sketch=on, or when sketch=auto and the round inbox
+  // reaches the threshold where the JL screen's O(m^2 k) beats the exact
+  // O(m^2 d) build.
+  const AggregationRulePtr root_rule = config_.cohort.root.empty()
+                                           ? config_.rule
+                                           : make_rule(config_.cohort.root);
+  const bool sketchable =
+      config_.cohort.enabled() && config_.sketch != "off";
+  const AggregationRulePtr sketch_shard =
+      sketchable ? sketched_counterpart(config_.rule) : nullptr;
+  const AggregationRulePtr sketch_root =
+      sketchable ? sketched_counterpart(root_rule) : nullptr;
+
+  // Membership.  A round's members are the cohort sample (every id when
+  // cohort= is off); the liveness schedule, expanded once over the run,
+  // says which of them are up.  Without faults= and stale= every round is
+  // a barrier: all members upload and the Byzantine budget is counted
+  // over the nominal membership.  Otherwise the round is elastic: the
+  // server steps on a quorum of whatever arrived, budgeting over the
+  // accepted rows.
+  const FaultPlan plan(config_.faults, n, config_.rounds, config_.seed);
+  const bool barrier = !config_.faults.any() && !config_.stale.enabled();
+  const std::size_t tau = config_.stale.tau;  // 0 = only fresh arrivals
+  const double decay = config_.stale.decay;
+  const std::size_t t = config_.resolved_t();
+  const std::size_t members_per_round = config_.cohort.cohort_size(n);
+  // The quorum over `live` members: the configured live fraction, or the
+  // Byzantine-safe live - t with t clamped to the nominal membership.
+  const std::size_t quorum_t = clamp_byzantine_budget(t, members_per_round);
+  const auto quorum_of = [&](std::size_t live) {
+    const std::size_t need =
+        config_.stale.quorum > 0.0
+            ? static_cast<std::size_t>(std::ceil(
+                  config_.stale.quorum * static_cast<double>(live)))
+            : (live > quorum_t ? live - quorum_t : 1);
+    return std::max<std::size_t>(need, 1);
+  };
+  const std::size_t configured_quorum = quorum_of(members_per_round);
+
+  // A gradient on its way to the server: computed against model `version`,
+  // it lands in round `ready`.  Uploads that outlive their round (straggler
+  // lag, or a Byzantine upload timed to land stale) wait in `in_flight`;
+  // with tau = 0 and no stragglers that table stays empty.
+  struct Upload {
+    std::size_t member = 0;  // position in the arrival round's member list
+    std::size_t version = 0;
+    std::size_t ready = 0;
+    double loss = 0.0;
+    std::optional<CompressedGradient> encoded;  // the codec's wire form
+    Vector grad;  // in-flight uploads only; arrivals live in `inbox`
+  };
+  std::map<std::size_t, Upload> in_flight;  // by client id
+  // A gradient computed this round, for client `id`: straight into inbox
+  // row `row` when it arrives this round, else into its in-flight slot.
+  struct Start {
+    std::size_t id;
+    std::size_t row;
+  };
+  constexpr std::size_t kInFlight = static_cast<std::size_t>(-1);
+
+  // Round scratch, hoisted: the accepted uploads of a round, in inbox-row
+  // order — honest before Byzantine, since members ascend and the
+  // Byzantine ids are the last f.
+  std::vector<Upload> arrivals;
+  std::vector<Start> starters;
+  GradientBatch inbox(members_per_round, dim);
+
+  TrainingResult result;
+  result.history.reserve(config_.rounds);
 
   for (std::size_t round = 0; round < config_.rounds; ++round) {
     Stopwatch round_watch;
     BCL_TRACE_SPAN("round");
-    auto compute = [&](std::size_t i) {
-      losses[i] = clients[i]->stochastic_gradient_into(global_params_,
-                                                       gradients.row(i));
+    const std::vector<std::size_t> members =
+        sample_cohort(config_.cohort, n, config_.seed, round);
+    const std::size_t k = members.size();
+    const std::size_t honest_k = static_cast<std::size_t>(
+        std::lower_bound(members.begin(), members.end(), n - f) -
+        members.begin());
+
+    // Every idle live member starts a gradient against the current model
+    // (a recovering client resyncs here); an in-flight upload due now
+    // arrives unless its owner is down or it is more than tau versions
+    // stale.
+    arrivals.clear();
+    starters.clear();
+    std::size_t live_members = 0;
+    std::size_t stale_accepted = 0;
+    std::size_t stale_rejected = 0;
+    for (std::size_t c = 0; c < k; ++c) {
+      const std::size_t i = members[c];
+      const bool alive = plan.alive(i, round);
+      if (alive) ++live_members;
+      const auto flying = in_flight.find(i);
+      if (flying == in_flight.end()) {
+        if (!alive) continue;
+        // Honest uploads land after the straggler delay (a factor-K
+        // straggler lands K-1 versions stale); Byzantine ones at the
+        // staleness the attack picks, clamped to tau (beyond it they would
+        // just be rejected).
+        const std::size_t lag =
+            i < n - f
+                ? static_cast<std::size_t>(std::ceil(plan.slowdown(i)) - 1.0)
+                : std::min(config_.attack->submit_staleness(round, tau), tau);
+        Upload upload;
+        upload.member = c;
+        upload.version = round;
+        upload.ready = round + lag;
+        if (lag == 0) {
+          starters.push_back({i, arrivals.size()});
+          arrivals.push_back(std::move(upload));
+        } else {
+          upload.grad.assign(dim, 0.0);
+          starters.push_back({i, kInFlight});
+          in_flight.emplace(i, std::move(upload));
+        }
+        continue;
+      }
+      if (flying->second.ready != round) continue;  // still on its way
+      Upload upload = std::move(flying->second);
+      in_flight.erase(flying);
+      if (!alive) continue;  // crashed mid-upload: the gradient dies with it
+      if (round - upload.version > tau) {
+        ++stale_rejected;
+        continue;
+      }
+      ++stale_accepted;
+      upload.member = c;
+      arrivals.push_back(std::move(upload));
+    }
+    inbox.resize(arrivals.size());
+    for (std::size_t a = 0; a < arrivals.size(); ++a) {
+      const Vector& grad = arrivals[a].grad;
+      std::copy(grad.begin(), grad.end(), inbox.row(a));
+    }
+    const auto upload_of = [&](const Start& s) -> Upload& {
+      return s.row != kInFlight ? arrivals[s.row] : in_flight.at(s.id);
     };
+    const auto row_of = [&](const Start& s) {
+      return s.row != kInFlight ? inbox.row(s.row)
+                                : in_flight.at(s.id).grad.data();
+    };
+
     {
       BCL_TRACE_SPAN("grad.compute");
-      if (config_.pool != nullptr) {
-        config_.pool->parallel_for(0, n, compute);
-      } else {
-        for (std::size_t i = 0; i < n; ++i) compute(i);
-      }
+      for_each_in_lanes(
+          config_.pool, starters.size(), [&](std::size_t lane, std::size_t s) {
+            upload_of(starters[s]).loss = setup.gradient(
+                lane, starters[s].id, global_params_, row_of(starters[s]));
+          });
     }
-
-    double honest_loss = 0.0;
-    for (std::size_t i = 0; i < n - f; ++i) honest_loss += losses[i];
-    honest_loss /= static_cast<double>(n - f);
 
     // EF-compress the honest uploads in place: the server (and the attack,
     // which observes wire traffic) sees the lossy decodes, and the encoded
     // forms keep the wire sizes and the sparse distance path below.
-    std::vector<CompressedGradient> encoded_uploads;
-    bool sparse_uploads = false;
     if (codec != nullptr) {
       BCL_TRACE_SPAN("codec.encode");
-      encoded_uploads.reserve(n - f);
-      sparse_uploads = true;
-      for (std::size_t i = 0; i < n - f; ++i) {
-        encoded_uploads.push_back(error_feedback.compress(
-            *codec, config_.seed, i, round, gradients.row(i), dim));
-        encoded_uploads.back().decode_into(gradients.row(i));
-        sparse_uploads = sparse_uploads && encoded_uploads.back().sparse();
+      for (const Start& s : starters) {
+        if (s.id >= n - f) continue;
+        double* row = row_of(s);
+        CompressedGradient encoded = error_feedback.compress(
+            *codec, config_.seed, s.id, round, row, dim);
+        encoded.decode_into(row);
+        upload_of(s).encoded = std::move(encoded);
       }
     }
 
-    // Byzantine submissions (the last f ids).  The attack interface speaks
-    // VectorList, so the honest prefix is materialized only when there is a
-    // Byzantine client to corrupt.  With a codec the adversary speaks the
-    // wire format too: its corruption is serialized through the codec (no
-    // error feedback — it is not trying to converge), because the server
-    // rejects oversized dense uploads in a compressed protocol.
-    VectorList corrupted_submissions;
-    std::vector<CompressedGradient> encoded_byz;
-    std::vector<std::size_t> upload_wire(n, dense_wire_bytes(dim));
-    if (codec != nullptr) {
-      for (std::size_t i = 0; i < n - f; ++i) {
-        upload_wire[i] = encoded_uploads[i].wire_bytes();
-      }
-    }
-    if (f > 0) {
-      BCL_TRACE_SPAN("attack.corrupt");
-      VectorList honest;
-      honest.reserve(n - f);
-      for (std::size_t i = 0; i < n - f; ++i) {
-        honest.push_back(gradients.row_copy(i));
-      }
-      for (std::size_t i = n - f; i < n; ++i) {
-        auto corrupted = config_.attack->corrupt(gradients.row_copy(i),
-                                                 honest, round, attack_rng);
-        if (!corrupted) {  // silent round: nothing on the wire
-          upload_wire[i] = 0;
-          continue;
-        }
-        if (codec != nullptr) {
-          CompressedGradient encoded = codec->encode(
-              corrupted->data(), dim, config_.seed, i, round);
-          upload_wire[i] = encoded.wire_bytes();
-          corrupted_submissions.push_back(encoded.decode());
-          sparse_uploads = sparse_uploads && encoded.sparse();
-          encoded_byz.push_back(std::move(encoded));
-        } else {
-          corrupted_submissions.push_back(std::move(*corrupted));
-        }
-      }
-    }
-
-    // The submitted inbox: with no Byzantine clients it is the gradient
-    // batch itself; otherwise the honest prefix (one contiguous copy) plus
-    // the corrupted rows.
-    GradientBatch compacted;
-    if (f > 0) {
-      compacted = GradientBatch(n - f + corrupted_submissions.size(), dim);
-      std::copy(gradients.row(0), gradients.row(0) + (n - f) * dim,
-                compacted.row(0));
-      for (std::size_t i = 0; i < corrupted_submissions.size(); ++i) {
-        compacted.set_row(n - f + i, corrupted_submissions[i]);
-      }
-    }
-    const GradientBatch& submitted = f > 0 ? compacted : gradients;
-
-    // Server-side aggregation and SGD step.  The workspace is built once
-    // per round over the submitted batch; the rule and the heterogeneity
-    // metric below share its Gram-trick distance matrix.  When every
-    // honest upload arrived top-k/rand-k sparse, the pairwise matrix is
-    // built from the encoded forms through the sparse Gram kernels —
-    // O(pairwise nnz) instead of O(m^2 * d) — and handed to the workspace
-    // prebuilt (Byzantine rows ride along dense).
-    std::optional<AggregationWorkspace> workspace;
-    Vector aggregate = [&] {
-      BCL_TRACE_SPAN("aggregate.rule");
-      if (sparse_uploads) {
-        SparseRows sparse(dim);
-        for (const auto& encoded : encoded_uploads) {
-          encoded.append_row_to(sparse);
-        }
-        for (const auto& encoded : encoded_byz) {
-          encoded.append_row_to(sparse);
-        }
-        workspace.emplace(submitted, DistanceMatrix(sparse, ctx.pool),
-                          ctx.pool);
-      } else {
-        workspace.emplace(submitted, ctx.pool);
-      }
-      return config_.rule->aggregate(submitted, *workspace, ctx);
-    }();
-
-    // The model update travels back over the same constrained links: the
-    // server EF-compresses its broadcast (id n), and every client applies
-    // the lossy decode — with the identity codec this is a bitwise no-op.
-    std::size_t downlink_wire = dense_wire_bytes(dim);
-    if (codec != nullptr) {
-      BCL_TRACE_SPAN("codec.encode");
-      const CompressedGradient encoded = error_feedback.compress(
-          *codec, config_.seed, n, round, aggregate.data(), dim);
-      encoded.decode_into(aggregate.data());
-      downlink_wire = encoded.wire_bytes();
-    }
-    const double lr = config_.schedule.rate(round);
-    {
-      BCL_TRACE_SPAN("sgd.apply");
-      ml::sgd_step(global_params_, aggregate, lr);
-    }
-
-    RoundMetrics metrics;
-    metrics.round = round;
-    metrics.learning_rate = lr;
-    metrics.mean_honest_loss = honest_loss;
-    metrics.accuracy = [&] {
-      BCL_TRACE_SPAN("evaluate");
-      return clients[0]->evaluate(global_params_, *test_,
-                                  config_.eval_max_examples);
-    }();
-    metrics.accuracy_min = metrics.accuracy;
-    metrics.accuracy_max = metrics.accuracy;
-    metrics.disagreement = 0.0;
-    // Honest submissions occupy the first n - f slots of `submitted`, so
-    // when the rule already built the shared matrix the metric is a free
-    // subset lookup; for distance-free rules run the Gram kernel over the
-    // honest prefix only instead of forcing an O(m^2 * d) build over all
-    // submissions.
-    if (workspace->has_distances()) {
-      std::vector<std::size_t> honest_ids(n - f);
-      for (std::size_t i = 0; i < n - f; ++i) honest_ids[i] = i;
-      metrics.gradient_diameter =
-          workspace->distances().subset_diameter(honest_ids);
-    } else {
-      metrics.gradient_diameter =
-          DistanceMatrix(gradients.row(0), n - f, dim, ctx.pool).diameter();
-    }
-    metrics.seconds = round_watch.seconds();
-
-    // Price the star round and record which messages arrived.
-    StarWire star_wire;
-    star_wire.uplink_bytes = upload_wire;
-    star_wire.downlink_bytes = downlink_wire;
-    StarDelivery delivery;
-    if (delay_model != nullptr) {
-      metrics.sim_seconds = star_round_latency(*delay_model, config_.net, n,
-                                               f, net_quorum, round,
-                                               star_wire, &delivery);
-    }
-
-    // Delivered-byte accounting, consistent with the event engine's
-    // NetworkStats: uploads/downlinks the star model dropped carry no
-    // bytes (under sync nothing drops), and upload_wire[i] == 0 marks a
-    // silent Byzantine round with nothing on the wire at all.
-    const double dense = static_cast<double>(dense_wire_bytes(dim));
-    double bytes = 0.0;
-    double bytes_dense = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (upload_wire[i] == 0) continue;
-      if (!delivery.uplink.empty() && !delivery.uplink[i]) continue;
-      bytes += static_cast<double>(upload_wire[i]);
-      bytes_dense += dense;
-    }
-    for (std::size_t i = 0; i < n - f; ++i) {
-      if (!delivery.downlink.empty() && !delivery.downlink[i]) continue;
-      bytes += static_cast<double>(downlink_wire);
-      bytes_dense += dense;
-    }
-    metrics.bytes_delivered = bytes;
-    metrics.bytes_dense = bytes_dense;
-    metrics.live_clients = static_cast<double>(n);  // lockstep: all up
-    metrics.cohort = static_cast<double>(n);        // everyone uploads
-    publish_round_histograms(config_.metrics, metrics);
-    result.history.push_back(metrics);
-    if (config_.on_round) config_.on_round(result.history.back());
-  }
-  result.final_accuracy =
-      result.history.empty() ? 0.0 : result.history.back().accuracy;
-  return result;
-}
-
-TrainingResult CentralizedTrainer::run_elastic() {
-  const std::size_t n = config_.num_clients;
-  const std::size_t f = config_.num_byzantine;
-  const std::size_t t = config_.resolved_t();
-  Rng root(config_.seed);
-
-  // Setup mirrors run_lockstep (same split indices, so the two paths see
-  // identical partitions, initial parameters and attack streams).
-  Rng partition_rng = root.split(1);
-  const auto shards =
-      ml::partition_dataset(*train_, n, config_.heterogeneity, partition_rng);
-  ml::Dataset poisoned_train;
-  const ml::Dataset* byz_train = poison_byzantine_shards(
-      *config_.attack, *train_, shards, f, poisoned_train);
-  std::vector<std::unique_ptr<Client>> clients;
-  clients.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    clients.push_back(std::make_unique<Client>(
-        i, i < n - f ? train_ : byz_train, shards[i], factory_,
-        config_.batch_size, root.split(100 + i)));
-  }
-  ml::Model server_model = factory_();
-  Rng init_rng = root.split(2);
-  server_model.initialize(init_rng);
-  global_params_ = server_model.parameters();
-  Rng attack_rng = root.split(3);
-
-  std::unique_ptr<DelayModel> delay_model;
-  if (config_.net.async) delay_model = make_delay_model(config_.net, n);
-  const Codec* codec =
-      config_.codec != nullptr && !config_.codec->identity()
-          ? config_.codec.get()
-          : nullptr;
-  ErrorFeedback error_feedback(n + 1);
-  const std::size_t dim = server_model.parameter_count();
-
-  // The liveness schedule, expanded once over the whole run; every
-  // membership decision below is a const read of it, so serial and
-  // --jobs runs replay the same elastic trajectory bitwise.
-  const FaultPlan plan(config_.faults, n, config_.rounds, config_.seed);
-  const std::size_t tau = config_.stale.tau;  // 0 = only fresh arrivals
-  const double decay = config_.stale.decay;
-  // The configured quorum: a live fraction, or the Byzantine-safe n - t.
-  const auto quorum_of = [&](std::size_t members) {
-    std::size_t need =
-        config_.stale.quorum > 0.0
-            ? static_cast<std::size_t>(std::ceil(
-                  config_.stale.quorum * static_cast<double>(members)))
-            : (members > t ? members - t : 1);
-    return std::max<std::size_t>(need, 1);
-  };
-  const std::size_t configured_quorum = quorum_of(n);
-
-  // One in-flight gradient per client: computed against the model version
-  // current when the client last synced, arriving `ready - version` rounds
-  // later (straggler slowdown for honest clients, the attack's chosen
-  // staleness for Byzantine ones).
-  struct Pending {
-    bool active = false;
-    std::size_t version = 0;  // model version the gradient was computed at
-    std::size_t ready = 0;    // round the upload reaches the server
-    double loss = 0.0;
-    std::size_t wire = 0;
-    Vector grad;
-  };
-  std::vector<Pending> pending(n);
-
-  TrainingResult result;
-  result.history.reserve(config_.rounds);
-
-  for (std::size_t round = 0; round < config_.rounds; ++round) {
-    Stopwatch round_watch;
-    BCL_TRACE_SPAN("round");
-    const std::size_t live = plan.live_count(round);
-
-    // Start work: every live, idle client picks up the latest broadcast
-    // model (this is where a recovering client resyncs — global_params_ is
-    // whatever the server last published) and computes one gradient
-    // against it.  Row writes are disjoint, so the pass parallelizes.
-    std::vector<std::size_t> starters;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (plan.alive(i, round) && !pending[i].active) starters.push_back(i);
-    }
-    auto compute = [&](std::size_t k) {
-      const std::size_t i = starters[k];
-      Pending& p = pending[i];
-      p.grad.assign(dim, 0.0);
-      p.loss = clients[i]->stochastic_gradient_into(global_params_,
-                                                    p.grad.data());
-      p.active = true;
-      p.version = round;
-    };
-    {
-      BCL_TRACE_SPAN("grad.compute");
-      if (config_.pool != nullptr && starters.size() > 1) {
-        config_.pool->parallel_for(0, starters.size(), compute);
-      } else {
-        for (std::size_t k = 0; k < starters.size(); ++k) compute(k);
-      }
-    }
-    for (const std::size_t i : starters) {
-      Pending& p = pending[i];
-      if (i < n - f) {
-        // Honest upload: EF-compressed at the client, arriving after the
-        // straggler delay (a factor-K straggler lands K-1 versions stale).
-        if (codec != nullptr) {
-          const CompressedGradient encoded = error_feedback.compress(
-              *codec, config_.seed, i, round, p.grad.data(), dim);
-          encoded.decode_into(p.grad.data());
-          p.wire = encoded.wire_bytes();
-        } else {
-          p.wire = dense_wire_bytes(dim);
-        }
-        const auto lag = static_cast<std::size_t>(
-            std::ceil(plan.slowdown(i)) - 1.0);
-        p.ready = round + lag;
-      } else {
-        // Byzantine upload: the attack picks its own arrival staleness
-        // (clamped to the accepted bound — landing beyond tau would just
-        // be rejected), corruption happens at arrival time against that
-        // round's honest cohort.
-        p.ready =
-            round + std::min(config_.attack->submit_staleness(round, tau), tau);
-      }
-    }
-
-    // Arrivals due this round.  An upload whose owner is down right now is
-    // lost with the node; an accepted honest upload joins the cohort with
-    // weight decay^staleness; anything older than tau is rejected.
-    std::vector<std::size_t> honest_arrived;
-    std::vector<std::size_t> byz_arrived;
-    std::size_t stale_accepted = 0, stale_rejected = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      Pending& p = pending[i];
-      if (!p.active || p.ready > round) continue;
-      if (!plan.alive(i, round)) {
-        p.active = false;  // crashed mid-upload: the gradient dies with it
-        continue;
-      }
-      const std::size_t staleness = round - p.version;
-      if (staleness > tau) {
-        ++stale_rejected;
-        p.active = false;
-        continue;
-      }
-      if (staleness > 0) ++stale_accepted;
-      (i < n - f ? honest_arrived : byz_arrived).push_back(i);
-    }
-
-    // Byzantine corruption over the arrived cohort (rushing within the
-    // round: the attack sees every honest gradient accepted this round).
-    VectorList honest_cohort;
-    honest_cohort.reserve(honest_arrived.size());
-    for (const std::size_t i : honest_arrived) {
-      honest_cohort.push_back(pending[i].grad);
-    }
-    VectorList submissions;
-    std::vector<double> weights;
-    std::vector<double> cohort_losses;
-    std::vector<std::size_t> upload_wire(n, 0);
-    for (const std::size_t i : honest_arrived) {
-      Pending& p = pending[i];
-      submissions.push_back(std::move(p.grad));
-      weights.push_back(std::pow(decay, static_cast<double>(round - p.version)));
-      cohort_losses.push_back(p.loss);
-      upload_wire[i] = p.wire;
-      p.active = false;
-    }
-    const std::size_t honest_accepted = submissions.size();
-    BCL_TRACE_SPAN("attack.corrupt");
-    for (const std::size_t i : byz_arrived) {
-      Pending& p = pending[i];
-      auto corrupted = config_.attack->corrupt(std::move(p.grad),
-                                               honest_cohort, round,
-                                               attack_rng);
-      p.active = false;
-      if (!corrupted) continue;  // silent round: nothing on the wire
-      std::size_t wire = dense_wire_bytes(dim);
-      if (codec != nullptr) {
-        CompressedGradient encoded = codec->encode(
-            corrupted->data(), dim, config_.seed, i, round);
-        wire = encoded.wire_bytes();
-        *corrupted = encoded.decode();
-      }
-      submissions.push_back(std::move(*corrupted));
-      weights.push_back(std::pow(
-          decay, static_cast<double>(round - pending[i].version)));
-      upload_wire[i] = wire;
-    }
-
-    // Quorum-or-skip over the current membership: enough fresh-enough
-    // arrivals and the server steps; otherwise the round is degraded and
-    // the model stands still — the loop is a fixed count, so thin
-    // membership can never hang the run.
-    const std::size_t need = std::min(configured_quorum, quorum_of(live));
-    const bool advanced = submissions.size() >= need;
-    const double lr = config_.schedule.rate(round);
-    std::size_t downlink_wire = 0;
-    double diameter = 0.0;
-    if (advanced) {
-      GradientBatch submitted(submissions.size(), dim);
-      for (std::size_t k = 0; k < submissions.size(); ++k) {
-        if (weights[k] != 1.0) {
-          for (double& value : submissions[k]) value *= weights[k];
-        }
-        submitted.set_row(k, submissions[k]);
-      }
-      // Tolerance degrades with the cohort: the rules' trimming counts
-      // must stay meaningful at thin membership.
-      AggregationContext ctx;
-      ctx.n = submitted.rows();
-      ctx.t = clamp_byzantine_budget(t, submitted.rows());
-      ctx.pool = config_.pool;
-      ctx.metrics = config_.metrics;
-      AggregationWorkspace workspace(submitted, ctx.pool);
-      Vector aggregate = [&] {
-        BCL_TRACE_SPAN("aggregate.rule");
-        return config_.rule->aggregate(submitted, workspace, ctx);
-      }();
-      downlink_wire = dense_wire_bytes(dim);
-      if (codec != nullptr) {
-        BCL_TRACE_SPAN("codec.encode");
-        const CompressedGradient encoded = error_feedback.compress(
-            *codec, config_.seed, n, round, aggregate.data(), dim);
-        encoded.decode_into(aggregate.data());
-        downlink_wire = encoded.wire_bytes();
-      }
-      {
-        BCL_TRACE_SPAN("sgd.apply");
-        ml::sgd_step(global_params_, aggregate, lr);
-      }
-      if (workspace.has_distances() && honest_accepted >= 2) {
-        std::vector<std::size_t> honest_ids(honest_accepted);
-        for (std::size_t k = 0; k < honest_accepted; ++k) honest_ids[k] = k;
-        diameter = workspace.distances().subset_diameter(honest_ids);
-      } else if (honest_accepted >= 2) {
-        diameter = DistanceMatrix(submitted.row(0), honest_accepted, dim,
-                                  config_.pool)
-                       .diameter();
-      }
-    }
-
-    RoundMetrics metrics;
-    metrics.round = round;
-    metrics.learning_rate = lr;
-    double loss = 0.0;
-    for (const double value : cohort_losses) loss += value;
-    metrics.mean_honest_loss =
-        cohort_losses.empty()
-            ? 0.0
-            : loss / static_cast<double>(cohort_losses.size());
-    metrics.accuracy = [&] {
-      BCL_TRACE_SPAN("evaluate");
-      return clients[0]->evaluate(global_params_, *test_,
-                                  config_.eval_max_examples);
-    }();
-    metrics.accuracy_min = metrics.accuracy;
-    metrics.accuracy_max = metrics.accuracy;
-    metrics.gradient_diameter = diameter;
-    metrics.live_clients = static_cast<double>(live);
-    metrics.stale_accepted = static_cast<double>(stale_accepted);
-    metrics.stale_rejected = static_cast<double>(stale_rejected);
-    metrics.cohort = static_cast<double>(submissions.size());
-    metrics.degraded = (need < configured_quorum || !advanced) ? 1.0 : 0.0;
-    metrics.seconds = round_watch.seconds();
-
-    // Star pricing + byte accounting over what actually hit the wire:
-    // arrived uploads and, when the server stepped, its broadcast to the
-    // live honest clients.
-    StarWire star_wire;
-    star_wire.uplink_bytes = upload_wire;
-    star_wire.downlink_bytes = downlink_wire;
-    StarDelivery delivery;
-    if (delay_model != nullptr) {
-      metrics.sim_seconds = star_round_latency(*delay_model, config_.net, n,
-                                               f, need, round, star_wire,
-                                               &delivery);
-    }
-    const double dense = static_cast<double>(dense_wire_bytes(dim));
-    double bytes = 0.0;
-    double bytes_dense = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (upload_wire[i] == 0) continue;
-      if (!delivery.uplink.empty() && !delivery.uplink[i]) continue;
-      bytes += static_cast<double>(upload_wire[i]);
-      bytes_dense += dense;
-    }
-    if (advanced) {
-      for (std::size_t i = 0; i < n - f; ++i) {
-        if (!plan.alive(i, round)) continue;
-        if (!delivery.downlink.empty() && !delivery.downlink[i]) continue;
-        bytes += static_cast<double>(downlink_wire);
-        bytes_dense += dense;
-      }
-    }
-    metrics.bytes_delivered = bytes;
-    metrics.bytes_dense = bytes_dense;
-    publish_round_histograms(config_.metrics, metrics);
-    result.history.push_back(metrics);
-    if (config_.on_round) config_.on_round(result.history.back());
-  }
-  result.final_accuracy =
-      result.history.empty() ? 0.0 : result.history.back().accuracy;
-  return result;
-}
-
-namespace {
-
-/// SKETCH-* counterpart of a rule, or nullptr when the registry has none
-/// (the sketched screen only exists for the Krum family and MD-MEAN).
-AggregationRulePtr sketched_counterpart(const AggregationRulePtr& rule) {
-  if (rule == nullptr) return nullptr;
-  const std::string name = rule->name();
-  if (name == "KRUM" || name == "MD-MEAN" ||
-      name.rfind("MULTIKRUM-", 0) == 0) {
-    return make_rule("SKETCH-" + name);
-  }
-  return nullptr;
-}
-
-}  // namespace
-
-TrainingResult CentralizedTrainer::run_cohort() {
-  const std::size_t n = config_.num_clients;
-  const std::size_t f = config_.num_byzantine;
-  const std::size_t t = config_.resolved_t();
-  Rng root(config_.seed);
-
-  // Setup mirrors run_lockstep (same split indices, so cohort=1.0 sees the
-  // identical partition, initial parameters and attack stream) — but no
-  // per-client Client objects: a model replica per client is exactly the
-  // O(m * model) footprint this path exists to avoid.  Per-client state is
-  // the shard index list and an 8-byte RNG stream.
-  Rng partition_rng = root.split(1);
-  const auto shards =
-      ml::partition_dataset(*train_, n, config_.heterogeneity, partition_rng);
-  ml::Dataset poisoned_train;
-  const ml::Dataset* byz_train = poison_byzantine_shards(
-      *config_.attack, *train_, shards, f, poisoned_train);
-  std::vector<Rng> client_rngs;
-  client_rngs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) client_rngs.push_back(root.split(100 + i));
-
-  // Beyond the dataset size the partition leaves shards empty (Client would
-  // refuse to construct); at hyper-scale those clients sample the whole
-  // training set instead — the documented cohort-path semantics.
-  std::vector<std::size_t> fallback_shard;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (shards[i].empty()) {
-      fallback_shard.resize(train_->size());
-      for (std::size_t j = 0; j < fallback_shard.size(); ++j)
-        fallback_shard[j] = j;
-      break;
-    }
-  }
-  const auto shard_of = [&](std::size_t i) -> const std::vector<std::size_t>& {
-    return shards[i].empty() ? fallback_shard : shards[i];
-  };
-
-  // One scratch model per worker lane (plus the calling thread): the
-  // gradient arithmetic fully overwrites model state, so lane identity
-  // never affects the numbers (see stochastic_gradient_with).
-  const std::size_t lanes =
-      config_.pool != nullptr ? config_.pool->size() + 1 : 1;
-  std::vector<ml::Model> lane_models;
-  lane_models.reserve(lanes);
-  for (std::size_t l = 0; l < lanes; ++l) lane_models.push_back(factory_());
-
-  ml::Model server_model = factory_();
-  Rng init_rng = root.split(2);
-  server_model.initialize(init_rng);
-  global_params_ = server_model.parameters();
-  Rng attack_rng = root.split(3);
-
-  std::unique_ptr<DelayModel> delay_model;
-  if (config_.net.async) delay_model = make_delay_model(config_.net, n);
-  const Codec* codec =
-      config_.codec != nullptr && !config_.codec->identity()
-          ? config_.codec.get()
-          : nullptr;
-  ErrorFeedback error_feedback(n + 1);
-  const std::size_t dim = server_model.parameter_count();
-
-  // Shard-rule / root-rule pair of the hierarchical aggregation; an empty
-  // root means "same rule at both levels".
-  const AggregationRulePtr root_rule = config_.cohort.root.empty()
-                                           ? config_.rule
-                                           : make_rule(config_.cohort.root);
-  // Sketched counterparts (the scenario sketch= dimension), resolved once:
-  // swapped in per round when sketch=on, or when sketch=auto and the round
-  // inbox reaches the threshold where the JL screen's O(m^2 k) beats the
-  // exact O(m^2 d) build.  Rules without a SKETCH-* registry entry keep
-  // the exact pair at every size; sketch=off is the escape hatch.
-  const AggregationRulePtr sketch_shard =
-      config_.sketch != "off" ? sketched_counterpart(config_.rule) : nullptr;
-  const AggregationRulePtr sketch_root =
-      config_.sketch != "off" ? sketched_counterpart(root_rule) : nullptr;
-
-  TrainingResult result;
-  result.history.reserve(config_.rounds);
-
-  for (std::size_t round = 0; round < config_.rounds; ++round) {
-    Stopwatch round_watch;
-    BCL_TRACE_SPAN("round");
-    // This round's uploaders, ascending (honest cohort members form the
-    // batch prefix because Byzantine ids are the last f).
-    const std::vector<std::size_t> cohort =
-        sample_cohort(config_.cohort, n, config_.seed, round);
-    const std::size_t k = cohort.size();
-    const std::size_t honest_k = static_cast<std::size_t>(
-        std::lower_bound(cohort.begin(), cohort.end(), n - f) -
-        cohort.begin());
-    const std::size_t byz_k = k - honest_k;
-    const std::size_t t_k = clamp_byzantine_budget(t, k);
-
-    // Round memory is O(k * d): one batch row per cohort member, written
-    // in cohort order by the lane that owns the member's contiguous chunk.
-    GradientBatch gradients(k, dim);
-    std::vector<double> losses(k, 0.0);
-    const auto compute_member = [&](ml::Model& scratch, std::size_t c) {
-      const std::size_t i = cohort[c];
-      losses[c] = stochastic_gradient_with(
-          scratch, i < n - f ? *train_ : *byz_train, shard_of(i),
-          config_.batch_size, client_rngs[i], global_params_,
-          gradients.row(c));
-    };
-    {
-      BCL_TRACE_SPAN("grad.compute");
-      if (config_.pool != nullptr && k > 1) {
-        // Contiguous member chunks per lane, so a lane's scratch model is
-        // touched by exactly one worker.
-        const std::size_t chunk = (k + lanes - 1) / lanes;
-        config_.pool->parallel_for(0, lanes, [&](std::size_t l) {
-          const std::size_t begin = l * chunk;
-          const std::size_t end = std::min(k, begin + chunk);
-          for (std::size_t c = begin; c < end; ++c) {
-            compute_member(lane_models[l], c);
-          }
-        });
-      } else {
-        for (std::size_t c = 0; c < k; ++c) {
-          compute_member(lane_models[0], c);
-        }
-      }
-    }
-
+    std::vector<std::size_t> upload_wire(k, 0);  // by member; 0 = silent
+    std::size_t honest_rows = 0;
     double honest_loss = 0.0;
-    for (std::size_t c = 0; c < honest_k; ++c) honest_loss += losses[c];
-    if (honest_k > 0) honest_loss /= static_cast<double>(honest_k);
-
-    // EF-compression, Byzantine corruption, compaction, aggregation and
-    // broadcast mirror run_lockstep over the cohort rows; codec and attack
-    // streams key off the member's global client id.
-    std::vector<CompressedGradient> encoded_uploads;
-    bool sparse_uploads = false;
-    if (codec != nullptr) {
-      BCL_TRACE_SPAN("codec.encode");
-      encoded_uploads.reserve(honest_k);
-      sparse_uploads = true;
-      for (std::size_t c = 0; c < honest_k; ++c) {
-        encoded_uploads.push_back(error_feedback.compress(
-            *codec, config_.seed, cohort[c], round, gradients.row(c), dim));
-        encoded_uploads.back().decode_into(gradients.row(c));
-        sparse_uploads = sparse_uploads && encoded_uploads.back().sparse();
-      }
+    for (; honest_rows < arrivals.size() &&
+           arrivals[honest_rows].member < honest_k;
+         ++honest_rows) {
+      const Upload& upload = arrivals[honest_rows];
+      honest_loss += upload.loss;
+      upload_wire[upload.member] = upload.encoded
+                                       ? upload.encoded->wire_bytes()
+                                       : dense_wire_bytes(dim);
     }
+    if (honest_rows > 0) honest_loss /= static_cast<double>(honest_rows);
 
-    VectorList corrupted_submissions;
-    std::vector<CompressedGradient> encoded_byz;
-    std::vector<std::size_t> upload_wire(k, dense_wire_bytes(dim));
-    if (codec != nullptr) {
-      for (std::size_t c = 0; c < honest_k; ++c) {
-        upload_wire[c] = encoded_uploads[c].wire_bytes();
-      }
-    }
-    if (byz_k > 0) {
+    // Byzantine submissions, rushing within the round: the attack sees
+    // every honest gradient accepted this round.  With a codec the
+    // adversary speaks the wire format too (no error feedback — it is not
+    // trying to converge).  Silent rounds put nothing on the wire and are
+    // compacted out of the inbox.
+    std::size_t rows = honest_rows;
+    if (arrivals.size() > honest_rows) {
       BCL_TRACE_SPAN("attack.corrupt");
       VectorList honest;
-      honest.reserve(honest_k);
-      for (std::size_t c = 0; c < honest_k; ++c) {
-        honest.push_back(gradients.row_copy(c));
+      honest.reserve(honest_rows);
+      for (std::size_t r = 0; r < honest_rows; ++r) {
+        honest.push_back(inbox.row_copy(r));
       }
-      for (std::size_t c = honest_k; c < k; ++c) {
-        auto corrupted = config_.attack->corrupt(gradients.row_copy(c),
-                                                 honest, round, attack_rng);
-        if (!corrupted) {  // silent round: nothing on the wire
-          upload_wire[c] = 0;
-          continue;
-        }
+      for (std::size_t a = honest_rows; a < arrivals.size(); ++a) {
+        Upload& upload = arrivals[a];
+        auto corrupted = config_.attack->corrupt(
+            inbox.row_copy(a), honest, round, setup.attack_rng());
+        if (!corrupted) continue;
         if (codec != nullptr) {
-          CompressedGradient encoded = codec->encode(
-              corrupted->data(), dim, config_.seed, cohort[c], round);
-          upload_wire[c] = encoded.wire_bytes();
-          corrupted_submissions.push_back(encoded.decode());
-          sparse_uploads = sparse_uploads && encoded.sparse();
-          encoded_byz.push_back(std::move(encoded));
+          upload.encoded = codec->encode(corrupted->data(), dim, config_.seed,
+                                         members[upload.member], round);
+          upload.encoded->decode_into(inbox.row(rows));
+          upload_wire[upload.member] = upload.encoded->wire_bytes();
         } else {
-          corrupted_submissions.push_back(std::move(*corrupted));
+          std::copy(corrupted->begin(), corrupted->end(), inbox.row(rows));
+          upload_wire[upload.member] = dense_wire_bytes(dim);
         }
+        if (rows != a) arrivals[rows] = std::move(upload);
+        ++rows;
       }
     }
+    arrivals.resize(rows);
+    inbox.resize(rows);
 
-    GradientBatch compacted;
-    if (byz_k > 0) {
-      compacted = GradientBatch(honest_k + corrupted_submissions.size(), dim);
-      std::copy(gradients.row(0), gradients.row(0) + honest_k * dim,
-                compacted.row(0));
-      for (std::size_t c = 0; c < corrupted_submissions.size(); ++c) {
-        compacted.set_row(honest_k + c, corrupted_submissions[c]);
-      }
+    // Stale rows enter with weight decay^staleness.
+    bool unit_weights = true;
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double weight =
+          std::pow(decay, static_cast<double>(round - arrivals[r].version));
+      if (weight == 1.0) continue;
+      unit_weights = false;
+      double* row = inbox.row(r);
+      for (std::size_t j = 0; j < dim; ++j) row[j] *= weight;
     }
-    const GradientBatch& submitted = byz_k > 0 ? compacted : gradients;
 
-    // The round's nominal membership is the cohort, with the Byzantine
-    // budget clamped by the thin-cohort rule shared with the elastic loop.
+    // Quorum-or-skip: enough fresh-enough rows and the server steps;
+    // otherwise the round is degraded and the model stands still — the loop
+    // is a fixed count, so thin membership can never hang the run.
     AggregationContext ctx;
-    ctx.n = k;
-    ctx.t = t_k;
+    ctx.n = barrier ? k : rows;
+    ctx.t = clamp_byzantine_budget(t, ctx.n);
     ctx.pool = config_.pool;
     ctx.metrics = config_.metrics;
-
+    const std::size_t need =
+        std::min(configured_quorum, quorum_of(live_members));
+    const bool advanced = rows >= need;
     const double lr = config_.schedule.rate(round);
     std::size_t downlink_wire = 0;
+    std::size_t shards = 1;
     double diameter = 0.0;
-    std::size_t effective_shards = 1;
-    // A cohort drawn almost entirely Byzantine-and-silent can leave fewer
-    // rows than the rules trust to exist; the server skips (degraded),
-    // like the elastic loop's below-quorum rounds.
-    const bool advanced = submitted.rows() >= ctx.keep() && !submitted.empty();
     if (advanced) {
+      // The workspace is built once per round over the inbox; the rule and
+      // the heterogeneity metric below share its Gram-trick distance
+      // matrix.  When every row arrived sparse-encoded at unit weight (the
+      // encoded forms carry unweighted values), the matrix is built from
+      // the encoded forms through the sparse Gram kernels — O(pairwise
+      // nnz) instead of O(m^2 * d).
       std::optional<AggregationWorkspace> workspace;
-      if (sparse_uploads) {
-        SparseRows sparse(dim);
-        for (const auto& encoded : encoded_uploads) {
-          encoded.append_row_to(sparse);
-        }
-        for (const auto& encoded : encoded_byz) {
-          encoded.append_row_to(sparse);
-        }
-        workspace.emplace(submitted, DistanceMatrix(sparse, ctx.pool),
-                          ctx.pool);
-      } else {
-        workspace.emplace(submitted, ctx.pool);
-      }
-      effective_shards =
-          std::min(std::max<std::size_t>(config_.cohort.shards, 1),
-                   submitted.rows());
+      shards = std::min(std::max<std::size_t>(config_.cohort.shards, 1), rows);
       const bool use_sketch =
           sketch_shard != nullptr &&
           (config_.sketch == "on" ||
-           submitted.rows() >= TrainingConfig::kSketchAutoThreshold);
+           rows >= TrainingConfig::kSketchAutoThreshold);
       const AggregationRule& shard_rule =
           use_sketch ? *sketch_shard : *config_.rule;
       const AggregationRule& round_root =
           use_sketch && sketch_root != nullptr ? *sketch_root : *root_rule;
       Vector aggregate = [&] {
         BCL_TRACE_SPAN("aggregate.rule");
-        return aggregate_sharded(submitted, *workspace, shard_rule,
-                                 round_root, config_.cohort.shards, ctx);
+        const bool sparse =
+            codec != nullptr && unit_weights &&
+            std::all_of(arrivals.begin(), arrivals.end(),
+                        [](const Upload& upload) {
+                          return upload.encoded && upload.encoded->sparse();
+                        });
+        if (sparse) {
+          SparseRows sparse_rows(dim);
+          for (const Upload& upload : arrivals) {
+            upload.encoded->append_row_to(sparse_rows);
+          }
+          workspace.emplace(inbox, DistanceMatrix(sparse_rows, ctx.pool),
+                            ctx.pool);
+        } else {
+          workspace.emplace(inbox, ctx.pool);
+        }
+        return aggregate_sharded(inbox, *workspace, shard_rule, round_root,
+                                 config_.cohort.shards, ctx);
       }();
+
+      // The model update travels back over the same links: the server
+      // EF-compresses its broadcast (id n) and every client applies the
+      // lossy decode.
       downlink_wire = dense_wire_bytes(dim);
       if (codec != nullptr) {
         BCL_TRACE_SPAN("codec.encode");
@@ -896,12 +369,15 @@ TrainingResult CentralizedTrainer::run_cohort() {
         BCL_TRACE_SPAN("sgd.apply");
         ml::sgd_step(global_params_, aggregate, lr);
       }
-      if (workspace->has_distances() && honest_k >= 2) {
-        std::vector<std::size_t> honest_ids(honest_k);
-        for (std::size_t c = 0; c < honest_k; ++c) honest_ids[c] = c;
+      // Honest rows are the inbox prefix: a free subset lookup when the
+      // rule already built the shared matrix, else the Gram kernel over
+      // the prefix only.
+      if (honest_rows >= 2 && workspace->has_distances()) {
+        std::vector<std::size_t> honest_ids(honest_rows);
+        std::iota(honest_ids.begin(), honest_ids.end(), std::size_t{0});
         diameter = workspace->distances().subset_diameter(honest_ids);
-      } else if (honest_k >= 2) {
-        diameter = DistanceMatrix(gradients.row(0), honest_k, dim, ctx.pool)
+      } else if (honest_rows >= 2) {
+        diameter = DistanceMatrix(inbox.row(0), honest_rows, dim, ctx.pool)
                        .diameter();
       }
     }
@@ -912,37 +388,46 @@ TrainingResult CentralizedTrainer::run_cohort() {
     metrics.mean_honest_loss = honest_loss;
     metrics.accuracy = [&] {
       BCL_TRACE_SPAN("evaluate");
-      return evaluate_with(lane_models[0], global_params_, *test_,
-                           config_.eval_max_examples);
+      return setup.evaluate(0, global_params_, *test_,
+                            config_.eval_max_examples);
     }();
     metrics.accuracy_min = metrics.accuracy;
     metrics.accuracy_max = metrics.accuracy;
     metrics.gradient_diameter = diameter;
+    metrics.live_clients = static_cast<double>(plan.live_count(round));
+    metrics.stale_accepted = static_cast<double>(stale_accepted);
+    metrics.stale_rejected = static_cast<double>(stale_rejected);
+    metrics.cohort = static_cast<double>(ctx.n);
+    metrics.shards = static_cast<double>(shards);
+    metrics.degraded = (need < configured_quorum || !advanced) ? 1.0 : 0.0;
     metrics.seconds = round_watch.seconds();
 
-    // Star pricing over the cohort (member c is star id c, the virtual
-    // server is id k): with a full cohort this is exactly the lockstep
-    // pricing; at frac < 1 only the members' messages exist.
+    // Star pricing over the members (member c is star id c, the virtual
+    // server id k), then delivered-byte accounting consistent with the
+    // event engine's NetworkStats: dropped messages carry no bytes, and
+    // the broadcast reaches the live honest members only when the server
+    // stepped.
     StarWire star_wire;
-    star_wire.uplink_bytes = upload_wire;
+    star_wire.uplink_bytes = std::move(upload_wire);
     star_wire.downlink_bytes = downlink_wire;
     StarDelivery delivery;
     if (delay_model != nullptr) {
       metrics.sim_seconds =
-          star_round_latency(*delay_model, config_.net, k, byz_k, k - t_k,
+          star_round_latency(*delay_model, config_.net, k, k - honest_k, need,
                              round, star_wire, &delivery);
     }
     const double dense = static_cast<double>(dense_wire_bytes(dim));
     double bytes = 0.0;
     double bytes_dense = 0.0;
     for (std::size_t c = 0; c < k; ++c) {
-      if (upload_wire[c] == 0) continue;
+      if (star_wire.uplink_bytes[c] == 0) continue;
       if (!delivery.uplink.empty() && !delivery.uplink[c]) continue;
-      bytes += static_cast<double>(upload_wire[c]);
+      bytes += static_cast<double>(star_wire.uplink_bytes[c]);
       bytes_dense += dense;
     }
     if (advanced) {
       for (std::size_t c = 0; c < honest_k; ++c) {
+        if (!plan.alive(members[c], round)) continue;
         if (!delivery.downlink.empty() && !delivery.downlink[c]) continue;
         bytes += static_cast<double>(downlink_wire);
         bytes_dense += dense;
@@ -950,10 +435,6 @@ TrainingResult CentralizedTrainer::run_cohort() {
     }
     metrics.bytes_delivered = bytes;
     metrics.bytes_dense = bytes_dense;
-    metrics.live_clients = static_cast<double>(n);
-    metrics.cohort = static_cast<double>(k);
-    metrics.shards = static_cast<double>(effective_shards);
-    metrics.degraded = advanced ? 0.0 : 1.0;
     publish_round_histograms(config_.metrics, metrics);
     result.history.push_back(metrics);
     if (config_.on_round) config_.on_round(result.history.back());

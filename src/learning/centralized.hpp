@@ -1,56 +1,47 @@
 #pragma once
 // Centralized collaborative learning (Section 2.1): a trusted server holds
-// the global model; every round each client computes a stochastic gradient
-// at the global parameters, Byzantine clients corrupt theirs, the server
-// aggregates all submissions with the configured rule and applies one SGD
-// step.  Reproduces the Figure 1 / Figure 2 experiments.
+// the global model; every round each participating client computes a
+// stochastic gradient at the global parameters, Byzantine clients corrupt
+// theirs, the server aggregates the submissions with the configured rule
+// and applies one SGD step.  Reproduces the Figure 1 / Figure 2
+// experiments.
 
 #include "learning/client.hpp"
 #include "learning/config.hpp"
 
 namespace bcl {
 
+/// One streaming round loop serves every configuration.  Per-client state
+/// is O(1) (a shard index list and an RNG stream; gradients are computed on
+/// per-lane scratch models), and a round's accepted gradients stream
+/// through one O(members * d) batch aggregated by the sharded hierarchy.
+/// A round's membership comes from three values:
+///   - the cohort sample (cohort=), or every client id;
+///   - the FaultPlan's liveness (faults=): down clients compute nothing;
+///   - a table of in-flight gradients: a straggler's upload lands
+///     ceil(slowdown) - 1 rounds late, a Byzantine one at the staleness its
+///     attack picks (stale=), and arrivals more than tau versions stale are
+///     rejected.
+/// Accepted stale rows are down-weighted by decay^staleness; the server
+/// steps only on a quorum of rows and otherwise records a degraded round.
+/// Without faults= and stale= every member lands every round (a barrier
+/// round) and the Byzantine budget counts the nominal membership;
+/// otherwise it counts the accepted rows.
 class CentralizedTrainer {
  public:
-  /// `train` and `test` must outlive the trainer.  Clients are created from
-  /// the partition scheme in the config; the last f client ids are
-  /// Byzantine.
+  /// `train` and `test` must outlive the trainer.  The last f client ids
+  /// are Byzantine.
   CentralizedTrainer(TrainingConfig config, ModelFactory factory,
                      const ml::Dataset* train, const ml::Dataset* test);
 
   /// Runs the full training loop; returns the per-round accuracy history of
-  /// the global model.  Dispatches on the config: the default lockstep
-  /// barrier loop, the elastic bounded-staleness loop when faults= or
-  /// stale= is set (run_elastic below), or the streaming cohort loop when
-  /// cohort= is set (run_cohort below).
+  /// the global model.
   TrainingResult run();
 
   /// The global parameter vector (valid after run()).
   const Vector& parameters() const { return global_params_; }
 
  private:
-  /// The pre-fault global-barrier loop, preserved verbatim: every client
-  /// uploads every round, the server waits for all of them.  faults=none
-  /// stale=none takes exactly this path (bitwise-equality is test-enforced).
-  TrainingResult run_lockstep();
-
-  /// Elastic membership + bounded staleness: a FaultPlan drives per-round
-  /// liveness, clients own in-flight gradients that arrive after their
-  /// straggler delay (or the attack's chosen staleness), the server steps
-  /// on a quorum of arrivals at most tau versions old and skips (degraded)
-  /// rounds below it — fixed round loop, so it can never hang.
-  TrainingResult run_elastic();
-
-  /// Streaming cohort loop (the cohort= dimension, built for the 10^4-10^6
-  /// client axis): per-client state is O(1) each (a private RNG stream and
-  /// the shard index list — no per-client model replica), each round draws
-  /// its uploaders from cohort_stream, gradients stream through one
-  /// O(cohort * d) batch computed by per-lane scratch models, and
-  /// aggregation runs through the sharded hierarchy.  Mirrors
-  /// run_lockstep's RNG-split and operation order exactly, so
-  /// cohort=1.0,shards=1 replays it bitwise (test-enforced).
-  TrainingResult run_cohort();
-
   TrainingConfig config_;
   ModelFactory factory_;
   const ml::Dataset* train_;

@@ -3,8 +3,8 @@
 // scale path: only a sampled subset of the m clients uploads per round,
 // so round memory is O(cohort * d) instead of O(m * d)).
 //
-// cohort= grammar: "none" (every client uploads, the pre-cohort lockstep
-// path) or "<frac>[,key=val,...]" — each round a deterministic sample of
+// cohort= grammar: "none" (every client uploads every round) or
+// "<frac>[,key=val,...]" — each round a deterministic sample of
 // ceil-ish frac * n clients computes and uploads a gradient.  Keys:
 //   shards  number of shard aggregators the cohort is split across
 //           (>= 1, default 1 = flat aggregation).  Each shard runs the
@@ -36,8 +36,9 @@ struct CohortConfig {
   std::string root;          ///< root rule name; empty = the scenario rule.
 
   /// True when a cohort fraction was configured.  Note fraction = 1.0 is
-  /// *enabled*: the full membership uploads, but through the streaming
-  /// cohort path (test-enforced bitwise identical to the lockstep path).
+  /// *enabled*: the full membership uploads, and only the cohort-only
+  /// knobs (shards, root, sketch) distinguish it from "none" (test-enforced
+  /// bitwise identical at shards=1).
   bool enabled() const { return fraction > 0.0; }
 
   /// Parses "none" or "<frac>[,key=val,...]".  frac must be in (0, 1];

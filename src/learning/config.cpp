@@ -79,9 +79,8 @@ void validate_config(const TrainingConfig& config) {
   }
   if (config.cohort.enabled() &&
       (config.faults.any() || config.stale.enabled())) {
-    // The streaming cohort loop replaces the lockstep barrier; composing
-    // it with the elastic fault/staleness loop (which owns its own
-    // membership sampling) is unspecified — reject instead of guessing.
+    // Sampling a cohort and expiring in-flight uploads of clients outside
+    // it is unspecified — reject instead of guessing.
     throw std::invalid_argument(
         "TrainingConfig: cohort= cannot be combined with faults= or stale=");
   }

@@ -68,32 +68,31 @@ struct TrainingConfig {
   CodecPtr codec;
 
   /// Liveness schedule (the scenario `faults=` dimension).  The default
-  /// "none" keeps every client up for the whole run and the trainers on a
-  /// code path bitwise identical to the pre-fault one.  Otherwise a
+  /// "none" keeps every client up for the whole run.  Otherwise a
   /// FaultPlan expanded over the run's rounds drives crashes, recoveries,
-  /// MMPP churn and stragglers: the centralized trainer runs its elastic
-  /// membership loop, the decentralized trainer freezes the plan's
-  /// membership across each learning round's agreement sub-rounds.
+  /// MMPP churn and stragglers: the centralized trainer's rounds turn
+  /// elastic (down clients drop out, the server steps on a quorum), the
+  /// decentralized trainer freezes the plan's membership across each
+  /// learning round's agreement sub-rounds.
   FaultConfig faults;
 
   /// Bounded-staleness round policy (the scenario `stale=` dimension),
   /// centralized only: tau > 0 replaces the global round barrier with
   /// server advancement on a quorum of gradients at most tau versions
-  /// old (see faults/staleness.hpp).  "none" keeps the lockstep barrier.
+  /// old (see faults/staleness.hpp).  "none" keeps the round barrier.
   StaleConfig stale;
 
   /// Cohort subsampling + sharded aggregation (the scenario `cohort=`
   /// dimension), centralized only: a fraction > 0 makes each round sample
-  /// its uploaders from cohort_stream and keeps round memory at
-  /// O(cohort * d) via the streaming gradient path; `shards` > 1 splits
-  /// the robust aggregation hierarchically (see aggregation/sharded.hpp).
-  /// Disabled (fraction 0) keeps the lockstep path; fraction 1.0 with one
-  /// shard runs the streaming path with bitwise-identical results
-  /// (test-enforced).  Mutually exclusive with faults/stale.
+  /// its uploaders from cohort_stream, so round memory is O(cohort * d);
+  /// `shards` > 1 splits the robust aggregation hierarchically (see
+  /// aggregation/sharded.hpp).  Fraction 1.0 with one shard is bitwise
+  /// identical to disabled (test-enforced).  Mutually exclusive with
+  /// faults/stale.
   CohortConfig cohort;
 
   /// Sketched shard aggregation (the scenario `sketch=` dimension),
-  /// cohort path only.  "auto" (default) swaps the cohort round's shard
+  /// cohort= runs only.  "auto" (default) swaps the cohort round's shard
   /// and root rules for their SKETCH-* counterparts (see
   /// aggregation/sketched.hpp) once the round inbox reaches
   /// kSketchAutoThreshold rows — the regime where the O(m^2 d) distance

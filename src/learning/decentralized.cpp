@@ -54,29 +54,11 @@ TrainingResult DecentralizedTrainer::run() {
   const std::size_t n = config_.num_clients;
   const std::size_t f = config_.num_byzantine;
   const std::size_t honest_count = n - f;
-  Rng root(config_.seed);
-
-  Rng partition_rng = root.split(1);
-  const auto shards =
-      ml::partition_dataset(*train_, n, config_.heterogeneity, partition_rng);
-  // Label-poisoning attacks corrupt the Byzantine shards at setup.
-  ml::Dataset poisoned_train;
-  const ml::Dataset* byz_train = poison_byzantine_shards(
-      *config_.attack, *train_, shards, f, poisoned_train);
-  std::vector<std::unique_ptr<Client>> clients;
-  clients.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    clients.push_back(std::make_unique<Client>(
-        i, i < honest_count ? train_ : byz_train, shards[i], factory_,
-        config_.batch_size, root.split(100 + i)));
-  }
+  TrainerSetup setup(config_, factory_, *train_);
 
   // Every client starts from the same initial model (created once at the
   // beginning, as in the paper); divergence comes from the data and faults.
-  ml::Model init_model = factory_();
-  Rng init_rng = root.split(2);
-  init_model.initialize(init_rng);
-  params_.assign(honest_count, init_model.parameters());
+  params_.assign(honest_count, setup.initial_parameters());
 
   AgreementConfig agreement;
   agreement.n = n;
@@ -101,7 +83,6 @@ TrainingResult DecentralizedTrainer::run() {
   std::vector<std::size_t> byzantine_ids;
   for (std::size_t i = n - f; i < n; ++i) byzantine_ids.push_back(i);
 
-  Rng attack_rng = root.split(3);
   TrainingResult result;
   result.history.reserve(config_.rounds);
 
@@ -110,16 +91,13 @@ TrainingResult DecentralizedTrainer::run() {
   // sub-round broadcast goes through the codec too (AgreementNode), so the
   // whole decentralized exchange is priced at compressed wire sizes.  A
   // null/identity codec keeps the pre-codec path bitwise.
-  const Codec* codec =
-      config_.codec != nullptr && !config_.codec->identity()
-          ? config_.codec.get()
-          : nullptr;
+  const Codec* codec = setup.codec();
   ErrorFeedback error_feedback(honest_count);
 
   // One contiguous gradient batch per round (honest rows first); clients
   // write their rows in place, and the spread metric runs the Gram kernel
   // over the honest prefix without materializing per-client Vectors.
-  const std::size_t dim = init_model.parameter_count();
+  const std::size_t dim = setup.dim();
   GradientBatch gradients(n, dim);
   std::vector<double> losses(n, 0.0);
 
@@ -141,25 +119,21 @@ TrainingResult DecentralizedTrainer::run() {
     BCL_TRACE_SPAN("round");
     if (faulty) agreement.fault_round = round;
     // Phase 1: local stochastic gradients at each honest client's own
-    // parameters (parallel; disjoint rows and model replicas).  Down
-    // clients compute nothing this round: their row is zeroed (the engine
-    // suppresses their broadcast anyway) and their loss excluded below.
-    auto compute = [&](std::size_t i) {
-      if (!live(i, round)) {
-        losses[i] = 0.0;
-        std::fill(gradients.row(i), gradients.row(i) + dim, 0.0);
-        return;
-      }
-      const Vector& at = i < honest_count ? params_[i] : params_[0];
-      losses[i] = clients[i]->stochastic_gradient_into(at, gradients.row(i));
-    };
+    // parameters (parallel; disjoint rows, one scratch model per lane).
+    // Down clients compute nothing this round: their row is zeroed (the
+    // engine suppresses their broadcast anyway) and their loss excluded
+    // below.
     {
       BCL_TRACE_SPAN("grad.compute");
-      if (config_.pool != nullptr) {
-        config_.pool->parallel_for(0, n, compute);
-      } else {
-        for (std::size_t i = 0; i < n; ++i) compute(i);
-      }
+      for_each_in_lanes(config_.pool, n, [&](std::size_t lane, std::size_t i) {
+        if (!live(i, round)) {
+          losses[i] = 0.0;
+          std::fill(gradients.row(i), gradients.row(i) + dim, 0.0);
+          return;
+        }
+        const Vector& at = i < honest_count ? params_[i] : params_[0];
+        losses[i] = setup.gradient(lane, i, at, gradients.row(i));
+      });
     }
 
     double honest_loss = 0.0;
@@ -242,7 +216,7 @@ TrainingResult DecentralizedTrainer::run() {
         if (!live(i, round)) continue;
         byz_values[i] = config_.attack->corrupt(gradients.row_copy(i),
                                                 attack_view, round,
-                                                attack_rng);
+                                                setup.attack_rng());
       }
     }
     PerNodeFixedAdversary fixed_adversary(byzantine_ids, byz_values);
@@ -290,18 +264,14 @@ TrainingResult DecentralizedTrainer::run() {
 
     // Phase 5: evaluate every live honest local model.
     accuracies.assign(honest_count, 0.0);
-    auto evaluate = [&](std::size_t i) {
-      if (!live(i, round)) return;
-      accuracies[i] = clients[i]->evaluate(params_[i], *test_,
-                                           config_.eval_max_examples);
-    };
     {
       BCL_TRACE_SPAN("evaluate");
-      if (config_.pool != nullptr) {
-        config_.pool->parallel_for(0, honest_count, evaluate);
-      } else {
-        for (std::size_t i = 0; i < honest_count; ++i) evaluate(i);
-      }
+      for_each_in_lanes(
+          config_.pool, honest_count, [&](std::size_t lane, std::size_t i) {
+            if (!live(i, round)) return;
+            accuracies[i] = setup.evaluate(lane, params_[i], *test_,
+                                           config_.eval_max_examples);
+          });
     }
 
     RoundMetrics metrics;
@@ -343,11 +313,8 @@ TrainingResult DecentralizedTrainer::run() {
       config_.metrics->counter("agreement.shared_hits")
           .add(agreed.sharing.shared_hits);
       config_.metrics->counter("agreement.subrounds").add(agreed.rounds);
-      config_.metrics->histogram("round.wall_seconds").record(metrics.seconds);
-      config_.metrics->histogram("round.sim_seconds")
-          .record(metrics.sim_seconds);
-      config_.metrics->histogram("round.bytes").record(metrics.bytes_delivered);
     }
+    publish_round_histograms(config_.metrics, metrics);
     result.history.push_back(metrics);
     if (config_.on_round) config_.on_round(result.history.back());
   }

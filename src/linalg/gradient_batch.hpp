@@ -90,6 +90,16 @@ class GradientBatch {
     return data_.data();
   }
 
+  /// Changes the row count, keeping the dimension and the leading rows'
+  /// values; added rows are zero.  Capacity is retained, so a batch reused
+  /// across rounds stops allocating once it has reached its largest size.
+  /// Owned batches only.
+  void resize(std::size_t rows) {
+    check_owned();
+    m_ = rows;
+    data_.resize(rows * d_);
+  }
+
   /// Copies `v` into row i (dimension-checked).
   void set_row(std::size_t i, const Vector& v);
 

@@ -378,30 +378,46 @@ TrainingConfig base_config(const std::string& rule,
   return cfg;
 }
 
-TEST(CentralizedFaults, FaultsNoneIsBitwiseIdenticalToLockstep) {
+// The in-flight/arrival machinery at its no-op setting: stale=1 makes every
+// round elastic (quorum-or-skip, budgets over the accepted rows, staleness
+// weights), but with a rushing attack and no faults nothing ever lands
+// late, so every recorded field must match the barrier run bitwise.
+TEST(CentralizedFaults, StaleOneWithoutFaultsIsBitwiseIdenticalToBarrier) {
   const auto data = ml::make_synthetic_dataset(tiny_spec(11));
   const auto factory = tiny_mlp_factory(data.train.feature_dim());
 
-  TrainingConfig plain = base_config("BOX-GEOM", "sign-flip");
-  TrainingConfig gated = base_config("BOX-GEOM", "sign-flip");
-  gated.faults = FaultConfig::parse("none");
-  gated.stale = StaleConfig::parse("none");
+  TrainingConfig barrier = base_config("BOX-GEOM", "sign-flip");
+  barrier.rounds = 5;
+  TrainingConfig elastic = barrier;
+  elastic.stale = StaleConfig::parse("1");
 
-  CentralizedTrainer a(plain, factory, &data.train, &data.test);
-  CentralizedTrainer b(gated, factory, &data.train, &data.test);
+  CentralizedTrainer a(barrier, factory, &data.train, &data.test);
+  CentralizedTrainer b(elastic, factory, &data.train, &data.test);
   const TrainingResult ra = a.run();
   const TrainingResult rb = b.run();
 
+  ASSERT_EQ(ra.history.size(), 5u);
   ASSERT_EQ(ra.history.size(), rb.history.size());
   for (std::size_t r = 0; r < ra.history.size(); ++r) {
-    EXPECT_EQ(ra.history[r].accuracy, rb.history[r].accuracy);
-    EXPECT_EQ(ra.history[r].mean_honest_loss,
-              rb.history[r].mean_honest_loss);
-    EXPECT_EQ(ra.history[r].gradient_diameter,
-              rb.history[r].gradient_diameter);
-    EXPECT_EQ(ra.history[r].bytes_delivered, rb.history[r].bytes_delivered);
-    EXPECT_EQ(rb.history[r].live_clients, 10.0);
-    EXPECT_EQ(rb.history[r].degraded, 0.0);
+    const RoundMetrics& x = ra.history[r];
+    const RoundMetrics& y = rb.history[r];
+    EXPECT_EQ(x.round, y.round);
+    EXPECT_EQ(x.accuracy, y.accuracy) << r;
+    EXPECT_EQ(x.accuracy_min, y.accuracy_min) << r;
+    EXPECT_EQ(x.accuracy_max, y.accuracy_max) << r;
+    EXPECT_EQ(x.mean_honest_loss, y.mean_honest_loss) << r;
+    EXPECT_EQ(x.learning_rate, y.learning_rate) << r;
+    EXPECT_EQ(x.disagreement, y.disagreement) << r;
+    EXPECT_EQ(x.gradient_diameter, y.gradient_diameter) << r;
+    EXPECT_EQ(x.sim_seconds, y.sim_seconds) << r;
+    EXPECT_EQ(x.bytes_delivered, y.bytes_delivered) << r;
+    EXPECT_EQ(x.bytes_dense, y.bytes_dense) << r;
+    EXPECT_EQ(x.live_clients, y.live_clients) << r;
+    EXPECT_EQ(x.stale_accepted, y.stale_accepted) << r;
+    EXPECT_EQ(x.stale_rejected, y.stale_rejected) << r;
+    EXPECT_EQ(x.degraded, y.degraded) << r;
+    EXPECT_EQ(x.cohort, y.cohort) << r;
+    EXPECT_EQ(x.shards, y.shards) << r;
   }
   EXPECT_EQ(ra.final_accuracy, rb.final_accuracy);
 }

@@ -48,20 +48,22 @@ TrainingConfig base_config(const std::string& rule,
   return cfg;
 }
 
-// --- Client ---
+// --- client-side computation ---
 
 TEST(Client, GradientHasModelDimension) {
   const auto data = ml::make_synthetic_dataset(tiny_spec(1));
   const auto factory = tiny_mlp_factory(data.train.feature_dim());
   ml::Model probe = factory();
-  std::vector<std::size_t> shard{0, 1, 2, 3, 4};
-  Client client(0, &data.train, shard, factory, 4, Rng(1));
   Rng init(2);
   probe.initialize(init);
-  const auto estimate = client.stochastic_gradient(probe.parameters());
-  EXPECT_EQ(estimate.gradient.size(), probe.parameter_count());
-  EXPECT_TRUE(std::isfinite(estimate.loss));
-  EXPECT_GT(norm2(estimate.gradient), 0.0);
+  ml::Model scratch = factory();
+  const std::vector<std::size_t> shard{0, 1, 2, 3, 4};
+  Rng rng(1);
+  Vector gradient(probe.parameter_count(), 0.0);
+  const double loss = stochastic_gradient_with(
+      scratch, data.train, shard, 4, rng, probe.parameters(), gradient.data());
+  EXPECT_TRUE(std::isfinite(loss));
+  EXPECT_GT(norm2(gradient), 0.0);
 }
 
 TEST(Client, DeterministicGivenSameRng) {
@@ -70,17 +72,32 @@ TEST(Client, DeterministicGivenSameRng) {
   ml::Model probe = factory();
   Rng init(3);
   probe.initialize(init);
-  std::vector<std::size_t> shard{0, 1, 2, 3, 4, 5};
-  Client a(0, &data.train, shard, factory, 4, Rng(7));
-  Client b(0, &data.train, shard, factory, 4, Rng(7));
-  EXPECT_EQ(a.stochastic_gradient(probe.parameters()).gradient,
-            b.stochastic_gradient(probe.parameters()).gradient);
+  const std::vector<std::size_t> shard{0, 1, 2, 3, 4, 5};
+  // Two distinct scratch replicas: which one computes never matters.
+  ml::Model scratch_a = factory();
+  ml::Model scratch_b = factory();
+  Rng rng_a(7);
+  Rng rng_b(7);
+  Vector a(probe.parameter_count(), 0.0);
+  Vector b(probe.parameter_count(), 0.0);
+  stochastic_gradient_with(scratch_a, data.train, shard, 4, rng_a,
+                           probe.parameters(), a.data());
+  stochastic_gradient_with(scratch_b, data.train, shard, 4, rng_b,
+                           probe.parameters(), b.data());
+  EXPECT_EQ(a, b);
 }
 
 TEST(Client, EmptyShardThrows) {
   const auto data = ml::make_synthetic_dataset(tiny_spec(3));
   const auto factory = tiny_mlp_factory(data.train.feature_dim());
-  EXPECT_THROW(Client(0, &data.train, {}, factory, 4, Rng(1)),
+  ml::Model scratch = factory();
+  Rng init(1);
+  scratch.initialize(init);
+  const Vector parameters = scratch.parameters();
+  Vector gradient(parameters.size(), 0.0);
+  Rng rng(1);
+  EXPECT_THROW(stochastic_gradient_with(scratch, data.train, {}, 4, rng,
+                                        parameters, gradient.data()),
                std::invalid_argument);
 }
 
@@ -90,11 +107,33 @@ TEST(Client, EvaluateReturnsFraction) {
   ml::Model probe = factory();
   Rng init(4);
   probe.initialize(init);
-  std::vector<std::size_t> shard{0, 1, 2};
-  Client client(0, &data.train, shard, factory, 4, Rng(1));
-  const double acc = client.evaluate(probe.parameters(), data.test, 50);
+  ml::Model scratch = factory();
+  const double acc =
+      evaluate_with(scratch, probe.parameters(), data.test, 50);
   EXPECT_GE(acc, 0.0);
   EXPECT_LE(acc, 1.0);
+}
+
+// More clients than training examples leaves some partition shards empty;
+// those clients sample the whole training set instead, in both trainers.
+TEST(Client, EmptyShardsSampleTheWholeTrainingSet) {
+  ml::SyntheticSpec spec = tiny_spec(9);
+  spec.train_per_class = 2;  // 20 training examples for 30 clients
+  const auto data = ml::make_synthetic_dataset(spec);
+  const auto factory = tiny_mlp_factory(data.train.feature_dim());
+  TrainingConfig cfg = base_config("MEAN", "sign-flip");
+  cfg.num_clients = 30;
+  cfg.rounds = 2;
+  const auto centralized =
+      CentralizedTrainer(cfg, factory, &data.train, &data.test).run();
+  const auto decentralized =
+      DecentralizedTrainer(cfg, factory, &data.train, &data.test).run();
+  for (const auto* result : {&centralized, &decentralized}) {
+    ASSERT_EQ(result->history.size(), 2u);
+    for (const RoundMetrics& m : result->history) {
+      EXPECT_TRUE(std::isfinite(m.mean_honest_loss));
+    }
+  }
 }
 
 // --- config validation ---

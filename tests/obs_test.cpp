@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -352,6 +354,55 @@ TEST(TraceBitwiseTest, TracedDecentralizedAsyncRunMatchesUntraced) {
   EXPECT_GT(full.metrics.counter_or("agreement.gram_builds"), 0u);
   EXPECT_GT(full.metrics.counter_or("net.messages_delivered"), 0u);
   EXPECT_EQ(off.metrics.counters, full.metrics.counters);
+}
+
+// On the trainer thread every phase span of the centralized round is a
+// direct child of `round` — none of them may swallow a later phase — even
+// on the elastic path (churn, stale arrivals, down-weighting) with a codec.
+TEST(TraceStructureTest, ElasticRoundPhasesAreDirectChildrenOfRound) {
+  const ScenarioSpec spec = ScenarioSpec::parse(
+      "rule=KRUM attack=sign-flip n=10 f=1 rounds=6 eval-max=40 "
+      "comp=topk:frac=0.1 stale=2,decay=0.5 "
+      "faults=churn:leave=0.2,join=0.5,cap=0.3 trace=full");
+  ScenarioRunner runner;
+  const ScenarioSummary summary = runner.run(spec);
+  ASSERT_TRUE(summary.error.empty()) << summary.error;
+  ASSERT_EQ(summary.trace_dropped, 0u);
+
+  // The trainer thread is the one that opens the round spans.
+  const auto first_round = std::find_if(
+      summary.trace.begin(), summary.trace.end(), [](const auto& record) {
+        return record.phase == 'B' && std::string(record.name) == "round";
+      });
+  ASSERT_NE(first_round, summary.trace.end());
+  const std::uint32_t trainer = first_round->tid;
+
+  const std::set<std::string> phases = {"grad.compute",   "codec.encode",
+                                        "attack.corrupt", "aggregate.rule",
+                                        "sgd.apply",      "evaluate"};
+  std::map<std::string, std::size_t> seen;
+  std::vector<std::string> open;
+  for (const auto& record : summary.trace) {
+    if (record.tid != trainer) continue;
+    const std::string name = record.name;
+    if (record.phase == 'B') {
+      if (phases.count(name) > 0) {
+        ++seen[name];
+        ASSERT_FALSE(open.empty()) << name;
+        EXPECT_EQ(open.back(), "round") << name << " opened inside "
+                                        << open.back();
+      }
+      open.push_back(name);
+    } else {
+      ASSERT_FALSE(open.empty()) << name;
+      EXPECT_EQ(open.back(), name);
+      open.pop_back();
+    }
+  }
+  EXPECT_TRUE(open.empty());
+  for (const std::string& phase : phases) {
+    EXPECT_GT(seen[phase], 0u) << phase << " never traced";
+  }
 }
 
 TEST(TraceEmitterTest, WritesPerCellTraceFiles) {

@@ -617,6 +617,20 @@ TEST(ScenarioRunner, MeanRootShardCountDoesNotChangeHistory) {
   }
 }
 
+// Sharded aggregation forwards the metrics registry into every shard and
+// root aggregation, so the sketched screens of a sharded round publish
+// their certification counters: at least one screen per shard per round.
+TEST(ScenarioRunner, ShardedSketchScreensPublishCounters) {
+  experiments::ScenarioRunner runner;
+  const auto summary = runner.run(ScenarioSpec::parse(
+      "rule=KRUM attack=sign-flip n=40 f=3 rounds=2 eval-max=40 "
+      "cohort=1,shards=4 sketch=on"));
+  ASSERT_TRUE(summary.error.empty()) << summary.error;
+  const auto screens = summary.metrics.counter_or("sketch.certified") +
+                       summary.metrics.counter_or("sketch.fallbacks");
+  EXPECT_GE(screens, 2u * 4u);
+}
+
 TEST(ScenarioRunner, CohortOnDecentralizedIsAnErrorSummary) {
   // cohort= is a server-side mechanism; on the decentralized topology the
   // runner records the mismatch as the cell's error (sweeps keep going).
