@@ -10,8 +10,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <stdexcept>
 
 #include "bench_json.hpp"
 #include "core/bcl.hpp"
@@ -79,8 +81,9 @@ BENCHMARK(BM_BoxGeom)->RangeMultiplier(8)->Range(kLo, kHi);
 //
 // A comparison suite (the figure harnesses, or one server round scoring
 // several candidate rules) runs many distance-based rules over the same
-// inbox.  Legacy entry points rebuild the O(m^2 * d) pairwise matrix inside
-// every rule; the workspace builds it once and every rule runs off it.
+// inbox.  The VectorList convenience packs a batch and builds a fresh
+// workspace, and so the O(m^2 * d) pairwise matrix, inside every call; a
+// shared workspace builds it once and every rule runs off it.
 
 const std::vector<std::string>& comparison_suite() {
   // Krum + MDA + medoid: the distance-based trio of the ISSUE's acceptance
@@ -107,28 +110,29 @@ BENCHMARK(BM_MultiRuleLegacy)->RangeMultiplier(8)->Range(kLo, kHi);
 
 void BM_MultiRuleSharedWorkspace(benchmark::State& state) {
   const std::size_t d = static_cast<std::size_t>(state.range(0));
-  const VectorList inputs = make_inputs(10, d, 7);
+  const GradientBatch batch = GradientBatch::from(make_inputs(10, d, 7));
   AggregationContext ctx;
   ctx.n = 10;
   ctx.t = 2;
   std::vector<AggregationRulePtr> rules;
   for (const auto& name : comparison_suite()) rules.push_back(make_rule(name));
   for (auto _ : state) {
-    AggregationWorkspace workspace(inputs);
+    AggregationWorkspace workspace(batch);
     for (const auto& rule : rules) {
-      benchmark::DoNotOptimize(rule->aggregate(inputs, workspace, ctx));
+      benchmark::DoNotOptimize(rule->aggregate(batch, workspace, ctx));
     }
   }
 }
 BENCHMARK(BM_MultiRuleSharedWorkspace)->RangeMultiplier(8)->Range(kLo, kHi);
 
 // Same comparison with the speedup reported directly: per iteration the
-// suite runs once through the legacy entry points (each rule recomputes the
-// distances) and once through a shared workspace; the "speedup" counter is
-// legacy time / shared time.
+// suite runs once through the VectorList convenience (each rule recomputes
+// the distances) and once through a shared workspace; the "speedup"
+// counter is per-rule time / shared time.
 void BM_SharedWorkspaceSpeedup(benchmark::State& state) {
   const std::size_t d = static_cast<std::size_t>(state.range(0));
   const VectorList inputs = make_inputs(10, d, 7);
+  const GradientBatch batch = GradientBatch::from(inputs);
   AggregationContext ctx;
   ctx.n = 10;
   ctx.t = 2;
@@ -143,9 +147,9 @@ void BM_SharedWorkspaceSpeedup(benchmark::State& state) {
       benchmark::DoNotOptimize(rule->aggregate(inputs, ctx));
     }
     const auto t1 = clock::now();
-    AggregationWorkspace workspace(inputs);
+    AggregationWorkspace workspace(batch);
     for (const auto& rule : rules) {
-      benchmark::DoNotOptimize(rule->aggregate(inputs, workspace, ctx));
+      benchmark::DoNotOptimize(rule->aggregate(batch, workspace, ctx));
     }
     const auto t2 = clock::now();
     legacy_ns += std::chrono::duration<double, std::nano>(t1 - t0).count();
@@ -311,8 +315,9 @@ void emit_json() {
                        spgemm > 0.0 ? naive / spgemm : 0.0});
   }
 
-  // One full distance-based rule through the batch path vs the legacy
-  // VectorList entry point (which rebuilds distances per pair).
+  // One full distance-based rule through the batch path vs a replica of
+  // the retired VectorList rule path: finiteness scan, per-pair distance
+  // build, Krum scores, copy of the winning row.
   {
     const std::size_t m = 20, d = 20000;
     const VectorList pts = make_inputs(m, d, 11);
@@ -321,8 +326,19 @@ void emit_json() {
     ctx.n = m;
     ctx.t = 4;
     const auto rule = make_rule("KRUM");
+    const auto list_krum = [&] {
+      for (const auto& v : pts) {
+        for (double x : v) {
+          if (!std::isfinite(x)) throw std::invalid_argument("non-finite");
+        }
+      }
+      const auto scores = krum_scores(DistanceMatrix(pts), ctx.keep() - 1,
+                                      KrumScore::Euclidean);
+      const auto best = std::min_element(scores.begin(), scores.end());
+      return Vector(pts[static_cast<std::size_t>(best - scores.begin())]);
+    };
     const double legacy =
-        time_ns([&] { benchmark::DoNotOptimize(rule->aggregate(pts, ctx)); });
+        time_ns([&] { benchmark::DoNotOptimize(list_krum()); });
     const double fast = time_ns([&] {
       AggregationWorkspace ws(batch);
       benchmark::DoNotOptimize(rule->aggregate(batch, ws, ctx));

@@ -83,7 +83,7 @@ BENCHMARK(BM_SubsetEnumeration)->DenseRange(10, 30, 10);
 
 void BM_TrimmedHyperbox(benchmark::State& state) {
   const std::size_t d = static_cast<std::size_t>(state.range(0));
-  const VectorList pts = cloud(10, d, 11);
+  const GradientBatch pts = GradientBatch::from(cloud(10, d, 11));
   for (auto _ : state) {
     benchmark::DoNotOptimize(trimmed_hyperbox(pts, 8));
   }

@@ -3,31 +3,18 @@
 #include <limits>
 #include <stdexcept>
 
-#include "geometry/subsets.hpp"
-#include "util/thread_pool.hpp"
+#include "aggregation/hyperbox_rules.hpp"
 
 namespace bcl {
 
 namespace {
 
-VectorList subset_points(const VectorList& inputs, std::size_t t,
-                         ThreadPool* pool,
-                         const std::function<Vector(const VectorList&)>& agg) {
-  const std::size_t n = inputs.size();
-  if (t >= n) {
-    throw std::invalid_argument("subset_points: t must be < n");
+// Subset size n - t of S_geo / S_mean over `inputs` (throws unless t < n).
+std::size_t subset_size(const VectorList& inputs, std::size_t t) {
+  if (t >= inputs.size()) {
+    throw std::invalid_argument("compute_sgeo/compute_smean: t must be < n");
   }
-  const auto combos = all_combinations(n, n - t);
-  VectorList points(combos.size());
-  auto compute = [&](std::size_t c) {
-    points[c] = agg(gather(inputs, combos[c]));
-  };
-  if (pool != nullptr && combos.size() > 1) {
-    pool->parallel_for(0, combos.size(), compute);
-  } else {
-    for (std::size_t c = 0; c < combos.size(); ++c) compute(c);
-  }
-  return points;
+  return inputs.size() - t;
 }
 
 ApproximationReport measure(const VectorList& candidate_set,
@@ -50,15 +37,19 @@ ApproximationReport measure(const VectorList& candidate_set,
 
 VectorList compute_sgeo(const VectorList& inputs, std::size_t t,
                         ThreadPool* pool, const WeiszfeldOptions& options) {
-  return subset_points(inputs, t, pool, [options](const VectorList& subset) {
-    return geometric_median_point(subset, options);
-  });
+  const std::size_t keep = subset_size(inputs, t);
+  return subset_aggregates(GradientBatch::from(inputs), keep, pool,
+                           [options](const VectorList& subset) {
+                             return geometric_median_point(subset, options);
+                           });
 }
 
 VectorList compute_smean(const VectorList& inputs, std::size_t t,
                          ThreadPool* pool) {
-  return subset_points(inputs, t, pool,
-                       [](const VectorList& subset) { return mean(subset); });
+  const std::size_t keep = subset_size(inputs, t);
+  return subset_aggregates(
+      GradientBatch::from(inputs), keep, pool,
+      [](const VectorList& subset) { return mean(subset); });
 }
 
 ApproximationReport measure_geo_approximation(

@@ -10,39 +10,38 @@
 namespace bcl {
 
 VectorList subset_aggregates(
-    const VectorList& received, std::size_t keep, ThreadPool* pool,
+    const GradientBatch& batch, std::size_t keep, ThreadPool* pool,
     const std::function<Vector(const VectorList&)>& subset_aggregate) {
-  if (pool != nullptr && received.size() > keep) {
+  const std::size_t m = batch.rows();
+  if (pool != nullptr && m > keep) {
     // Materialize the index sets so disjoint chunks can run on the pool.
-    const auto combos = all_combinations(received.size(), keep);
+    const auto combos = all_combinations(m, keep);
     VectorList points(combos.size());
     pool->parallel_for(0, combos.size(), [&](std::size_t c) {
-      points[c] = subset_aggregate(gather(received, combos[c]));
+      points[c] = subset_aggregate(gather_rows(batch, combos[c]));
     });
     return points;
   }
   // Serial path: stream the combinations without materializing them.
   VectorList points;
-  points.reserve(static_cast<std::size_t>(
-      binomial(received.size(), keep)));
-  for_each_combination(received.size(), keep,
-                       [&](const std::vector<std::size_t>& idx) {
-                         points.push_back(subset_aggregate(gather(received, idx)));
-                       });
+  points.reserve(static_cast<std::size_t>(binomial(m, keep)));
+  for_each_combination(m, keep, [&](const std::vector<std::size_t>& idx) {
+    points.push_back(subset_aggregate(gather_rows(batch, idx)));
+  });
   return points;
 }
 
 Vector hyperbox_aggregate(
-    const VectorList& received, const AggregationContext& ctx,
+    const GradientBatch& batch, const AggregationContext& ctx,
     const std::function<Vector(const VectorList&)>& subset_aggregate) {
   const std::size_t keep = ctx.keep();
   // TH_i: coordinate-wise trim of |M_i| - (n - t) values per side
   // (Definition 2.5).
-  const Hyperbox trusted = trimmed_hyperbox(received, keep);
+  const Hyperbox trusted = trimmed_hyperbox(batch, keep);
   // GH_i (or its mean analogue): bounding box of subset aggregates
   // (Definition 3.5).
   const VectorList points =
-      subset_aggregates(received, keep, ctx.pool, subset_aggregate);
+      subset_aggregates(batch, keep, ctx.pool, subset_aggregate);
   const Hyperbox aggregate_box = Hyperbox::bounding(points);
 
   auto intersection = Hyperbox::intersect(trusted, aggregate_box);
@@ -65,8 +64,8 @@ Vector hyperbox_aggregate(
 
 namespace {
 
-// The workspace form of the box rules: identical computation, with the
-// workspace's pool (when attached) taking precedence for the subset fan-out.
+// The workspace's pool (when attached) takes precedence for the subset
+// fan-out.
 AggregationContext with_workspace_pool(const AggregationContext& ctx,
                                        AggregationWorkspace& workspace) {
   AggregationContext out = ctx;
@@ -76,21 +75,19 @@ AggregationContext with_workspace_pool(const AggregationContext& ctx,
 
 }  // namespace
 
-Vector BoxMeanRule::aggregate(const VectorList& received,
-                              AggregationWorkspace& workspace,
-                              const AggregationContext& ctx) const {
-  validate(received, ctx);
-  return hyperbox_aggregate(received, with_workspace_pool(ctx, workspace),
+Vector BoxMeanRule::do_aggregate(const GradientBatch& batch,
+                                 AggregationWorkspace& workspace,
+                                 const AggregationContext& ctx) const {
+  return hyperbox_aggregate(batch, with_workspace_pool(ctx, workspace),
                             [](const VectorList& subset) { return mean(subset); });
 }
 
-Vector BoxGeoMedianRule::aggregate(const VectorList& received,
-                                   AggregationWorkspace& workspace,
-                                   const AggregationContext& ctx) const {
-  validate(received, ctx);
+Vector BoxGeoMedianRule::do_aggregate(const GradientBatch& batch,
+                                      AggregationWorkspace& workspace,
+                                      const AggregationContext& ctx) const {
   const WeiszfeldOptions options = options_;
   return hyperbox_aggregate(
-      received, with_workspace_pool(ctx, workspace),
+      batch, with_workspace_pool(ctx, workspace),
       [options](const VectorList& subset) {
         return geometric_median_point(subset, options);
       });

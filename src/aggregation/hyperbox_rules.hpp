@@ -22,32 +22,33 @@
 namespace bcl {
 
 /// Computes the per-subset aggregate points used by the hyperbox rules:
-/// one point per (n-t)-subset of `received`.  `subset_aggregate` maps a
-/// subset of vectors to its aggregate (mean or geometric median).  Runs
-/// subsets in parallel when ctx.pool is set.
+/// one point per (n-t)-subset of the batch rows, in lexicographic subset
+/// order.  Each subset's rows are gathered into a VectorList and mapped to
+/// its aggregate (mean or geometric median) by `subset_aggregate`.  Runs
+/// subsets in parallel when `pool` is set.
 VectorList subset_aggregates(
-    const VectorList& received, std::size_t keep, ThreadPool* pool,
+    const GradientBatch& batch, std::size_t keep, ThreadPool* pool,
     const std::function<Vector(const VectorList&)>& subset_aggregate);
 
 /// Shared implementation of the two hyperbox rules: output
-/// mid(trimmed_hyperbox(received) ∩ bounding_box(subset aggregates)).
+/// mid(trimmed_hyperbox(batch) ∩ bounding_box(subset aggregates)).
 /// Throws std::logic_error if the intersection is empty beyond numerical
 /// tolerance (Theorem 4.4 guarantees non-emptiness; a tiny per-coordinate
 /// tolerance absorbs Weiszfeld rounding).
 Vector hyperbox_aggregate(
-    const VectorList& received, const AggregationContext& ctx,
+    const GradientBatch& batch, const AggregationContext& ctx,
     const std::function<Vector(const VectorList&)>& subset_aggregate);
 
-/// BOX-MEAN: hyperbox rule with subset means.  The subset enumeration is
-/// not distance-based, but the workspace form still routes the subset fan
-/// out through the workspace's pool so a round that built a workspace once
-/// drives every rule with the same worker configuration.
+/// BOX-MEAN: hyperbox rule with subset means.  The subset fan-out runs on
+/// the workspace's pool when one is attached, else on ctx.pool.
 class BoxMeanRule final : public AggregationRule {
  public:
   std::string name() const override { return "BOX-MEAN"; }
-  using AggregationRule::aggregate;
-  Vector aggregate(const VectorList& received, AggregationWorkspace& workspace,
-                   const AggregationContext& ctx) const override;
+
+ protected:
+  Vector do_aggregate(const GradientBatch& batch,
+                      AggregationWorkspace& workspace,
+                      const AggregationContext& ctx) const override;
 };
 
 /// BOX-GEOM: hyperbox rule with subset geometric medians (Algorithm 2).
@@ -56,9 +57,11 @@ class BoxGeoMedianRule final : public AggregationRule {
   explicit BoxGeoMedianRule(WeiszfeldOptions options = {})
       : options_(options) {}
   std::string name() const override { return "BOX-GEOM"; }
-  using AggregationRule::aggregate;
-  Vector aggregate(const VectorList& received, AggregationWorkspace& workspace,
-                   const AggregationContext& ctx) const override;
+
+ protected:
+  Vector do_aggregate(const GradientBatch& batch,
+                      AggregationWorkspace& workspace,
+                      const AggregationContext& ctx) const override;
 
  private:
   WeiszfeldOptions options_;

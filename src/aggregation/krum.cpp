@@ -87,45 +87,17 @@ std::vector<double> krum_scores(const DistanceMatrix& dist,
                           });
 }
 
-Vector KrumRule::aggregate(const VectorList& received,
-                           AggregationWorkspace& workspace,
-                           const AggregationContext& ctx) const {
-  validate(received, ctx);
-  const std::size_t closest = closest_count(received.size(), ctx);
-  if (closest == 0) return received.front();
-  return received[krum_best(workspace.distances(), closest, flavour_)];
-}
-
-Vector KrumRule::aggregate(const GradientBatch& batch,
-                           AggregationWorkspace& workspace,
-                           const AggregationContext& ctx) const {
-  check_batch_workspace(batch, workspace);
-  validate(batch, ctx);
+Vector KrumRule::do_aggregate(const GradientBatch& batch,
+                              AggregationWorkspace& workspace,
+                              const AggregationContext& ctx) const {
   const std::size_t closest = closest_count(batch.rows(), ctx);
   if (closest == 0) return batch.row_copy(0);
   return batch.row_copy(krum_best(workspace.distances(), closest, flavour_));
 }
 
-Vector MultiKrumRule::aggregate(const VectorList& received,
-                                AggregationWorkspace& workspace,
-                                const AggregationContext& ctx) const {
-  validate(received, ctx);
-  if (q_ == 0) throw std::invalid_argument("MultiKrum: q must be positive");
-  const std::size_t closest = closest_count(received.size(), ctx);
-  if (closest == 0) return received.front();
-  const auto order = multikrum_order(workspace.distances(), closest, flavour_);
-  const std::size_t take = std::min(q_, received.size());
-  VectorList best;
-  best.reserve(take);
-  for (std::size_t i = 0; i < take; ++i) best.push_back(received[order[i]]);
-  return mean(best);
-}
-
-Vector MultiKrumRule::aggregate(const GradientBatch& batch,
-                                AggregationWorkspace& workspace,
-                                const AggregationContext& ctx) const {
-  check_batch_workspace(batch, workspace);
-  validate(batch, ctx);
+Vector MultiKrumRule::do_aggregate(const GradientBatch& batch,
+                                   AggregationWorkspace& workspace,
+                                   const AggregationContext& ctx) const {
   if (q_ == 0) throw std::invalid_argument("MultiKrum: q must be positive");
   const std::size_t closest = closest_count(batch.rows(), ctx);
   if (closest == 0) return batch.row_copy(0);

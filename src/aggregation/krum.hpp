@@ -32,11 +32,11 @@ class KrumRule final : public AggregationRule {
   explicit KrumRule(KrumScore flavour = KrumScore::Euclidean)
       : flavour_(flavour) {}
   std::string name() const override { return "KRUM"; }
-  using AggregationRule::aggregate;
-  Vector aggregate(const VectorList& received, AggregationWorkspace& workspace,
-                   const AggregationContext& ctx) const override;
-  Vector aggregate(const GradientBatch& batch, AggregationWorkspace& workspace,
-                   const AggregationContext& ctx) const override;
+
+ protected:
+  Vector do_aggregate(const GradientBatch& batch,
+                      AggregationWorkspace& workspace,
+                      const AggregationContext& ctx) const override;
 
  private:
   KrumScore flavour_;
@@ -52,11 +52,11 @@ class MultiKrumRule final : public AggregationRule {
   std::string name() const override {
     return "MULTIKRUM-" + std::to_string(q_);
   }
-  using AggregationRule::aggregate;
-  Vector aggregate(const VectorList& received, AggregationWorkspace& workspace,
-                   const AggregationContext& ctx) const override;
-  Vector aggregate(const GradientBatch& batch, AggregationWorkspace& workspace,
-                   const AggregationContext& ctx) const override;
+
+ protected:
+  Vector do_aggregate(const GradientBatch& batch,
+                      AggregationWorkspace& workspace,
+                      const AggregationContext& ctx) const override;
 
  private:
   std::size_t q_;

@@ -1,54 +1,19 @@
 #include "aggregation/minimum_diameter_rules.hpp"
 
 #include "geometry/min_diameter.hpp"
-#include "geometry/subsets.hpp"
 
 namespace bcl {
 
-namespace {
-
-// Subset rows of a batch as a standalone VectorList (for consumers like
-// Weiszfeld that iterate a point list).
-VectorList gather_rows(const GradientBatch& batch,
-                       const std::vector<std::size_t>& indices) {
-  VectorList out;
-  out.reserve(indices.size());
-  for (std::size_t i : indices) out.push_back(batch.row_copy(i));
-  return out;
-}
-
-}  // namespace
-
-Vector MinimumDiameterMeanRule::aggregate(const VectorList& received,
-                                          AggregationWorkspace& workspace,
-                                          const AggregationContext& ctx) const {
-  validate(received, ctx);
-  const auto md = min_diameter_subset(workspace.distances(), ctx.keep());
-  return mean(gather(received, md.indices));
-}
-
-Vector MinimumDiameterMeanRule::aggregate(const GradientBatch& batch,
-                                          AggregationWorkspace& workspace,
-                                          const AggregationContext& ctx) const {
-  check_batch_workspace(batch, workspace);
-  validate(batch, ctx);
+Vector MinimumDiameterMeanRule::do_aggregate(
+    const GradientBatch& batch, AggregationWorkspace& workspace,
+    const AggregationContext& ctx) const {
   const auto md = min_diameter_subset(workspace.distances(), ctx.keep());
   return mean_of_rows(batch, md.indices);
 }
 
-Vector MinimumDiameterGeoMedianRule::aggregate(
-    const VectorList& received, AggregationWorkspace& workspace,
-    const AggregationContext& ctx) const {
-  validate(received, ctx);
-  const auto md = min_diameter_subset(workspace.distances(), ctx.keep());
-  return geometric_median_point(gather(received, md.indices), options_);
-}
-
-Vector MinimumDiameterGeoMedianRule::aggregate(
+Vector MinimumDiameterGeoMedianRule::do_aggregate(
     const GradientBatch& batch, AggregationWorkspace& workspace,
     const AggregationContext& ctx) const {
-  check_batch_workspace(batch, workspace);
-  validate(batch, ctx);
   const auto md = min_diameter_subset(workspace.distances(), ctx.keep());
   // Only the minimum-diameter subset is materialized for Weiszfeld, not the
   // whole inbox.

@@ -18,11 +18,11 @@ namespace bcl {
 class MinimumDiameterMeanRule final : public AggregationRule {
  public:
   std::string name() const override { return "MD-MEAN"; }
-  using AggregationRule::aggregate;
-  Vector aggregate(const VectorList& received, AggregationWorkspace& workspace,
-                   const AggregationContext& ctx) const override;
-  Vector aggregate(const GradientBatch& batch, AggregationWorkspace& workspace,
-                   const AggregationContext& ctx) const override;
+
+ protected:
+  Vector do_aggregate(const GradientBatch& batch,
+                      AggregationWorkspace& workspace,
+                      const AggregationContext& ctx) const override;
 };
 
 /// MD-GEOM (Algorithm 1 step): geometric median of a minimum-diameter
@@ -32,11 +32,11 @@ class MinimumDiameterGeoMedianRule final : public AggregationRule {
   explicit MinimumDiameterGeoMedianRule(WeiszfeldOptions options = {})
       : options_(options) {}
   std::string name() const override { return "MD-GEOM"; }
-  using AggregationRule::aggregate;
-  Vector aggregate(const VectorList& received, AggregationWorkspace& workspace,
-                   const AggregationContext& ctx) const override;
-  Vector aggregate(const GradientBatch& batch, AggregationWorkspace& workspace,
-                   const AggregationContext& ctx) const override;
+
+ protected:
+  Vector do_aggregate(const GradientBatch& batch,
+                      AggregationWorkspace& workspace,
+                      const AggregationContext& ctx) const override;
 
  private:
   WeiszfeldOptions options_;

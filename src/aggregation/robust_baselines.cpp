@@ -3,13 +3,15 @@
 #include <algorithm>
 #include <cmath>
 
+#include "linalg/kernels.hpp"
 #include "linalg/stats.hpp"
 
 namespace bcl {
 
-Vector RfaRule::aggregate(const VectorList& received,
-                          const AggregationContext& ctx) const {
-  validate(received, ctx);
+Vector RfaRule::do_aggregate(const GradientBatch& batch,
+                             AggregationWorkspace& /*workspace*/,
+                             const AggregationContext& /*ctx*/) const {
+  const VectorList received = batch.to_vectors();
   // Scale the absolute smoothing radius by the data spread so the rule is
   // scale-equivariant.
   const double spread = Hyperbox::bounding(received).diagonal();
@@ -17,40 +19,54 @@ Vector RfaRule::aggregate(const VectorList& received,
   return smoothed_geometric_median(received, nu, options_).point;
 }
 
-Vector CenteredClippingRule::aggregate(const VectorList& received,
-                                       const AggregationContext& ctx) const {
-  validate(received, ctx);
-  Vector center = coordinatewise_median(received);
+Vector CenteredClippingRule::do_aggregate(
+    const GradientBatch& batch, AggregationWorkspace& /*workspace*/,
+    const AggregationContext& /*ctx*/) const {
+  const std::size_t m = batch.rows();
+  Vector center = coordinatewise_median(batch);
+  Vector residual(batch.dim());
+  const auto residual_of = [&](std::size_t i) {
+    const double* row = batch.row(i);
+    for (std::size_t k = 0; k < residual.size(); ++k) {
+      residual[k] = row[k] - center[k];
+    }
+  };
+  std::vector<double> norms(m);
   for (std::size_t it = 0; it < iterations_; ++it) {
     // Clip radius: tau_scale times the median distance to the center.
-    std::vector<double> dists;
-    dists.reserve(received.size());
-    for (const auto& v : received) dists.push_back(distance(v, center));
-    const double tau = tau_scale_ * median(dists);
+    for (std::size_t i = 0; i < m; ++i) {
+      residual_of(i);
+      norms[i] = norm2(residual);
+    }
+    const double tau = tau_scale_ * median(norms);
     Vector shift = zeros(center.size());
-    for (const auto& v : received) {
-      Vector residual = sub(v, center);
-      const double norm = norm2(residual);
-      const double factor = (tau > 0.0 && norm > tau) ? tau / norm : 1.0;
-      axpy(shift, factor / static_cast<double>(received.size()), residual);
+    for (std::size_t i = 0; i < m; ++i) {
+      residual_of(i);
+      const double factor =
+          (tau > 0.0 && norms[i] > tau) ? tau / norms[i] : 1.0;
+      axpy(shift, factor / static_cast<double>(m), residual);
     }
     axpy(center, 1.0, shift);
   }
   return center;
 }
 
-Vector NormClippingRule::aggregate(const VectorList& received,
-                                   const AggregationContext& ctx) const {
-  validate(received, ctx);
-  std::vector<double> norms;
-  norms.reserve(received.size());
-  for (const auto& v : received) norms.push_back(norm2(v));
+Vector NormClippingRule::do_aggregate(const GradientBatch& batch,
+                                      AggregationWorkspace& /*workspace*/,
+                                      const AggregationContext& /*ctx*/) const {
+  const std::size_t m = batch.rows();
+  const std::size_t d = batch.dim();
+  std::vector<double> norms(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    norms[i] = std::sqrt(kernels::dot_seq(batch.row(i), batch.row(i), d));
+  }
   const double bound = median(norms);
-  Vector out = zeros(received.front().size());
-  for (std::size_t i = 0; i < received.size(); ++i) {
+  Vector out = zeros(d);
+  for (std::size_t i = 0; i < m; ++i) {
     const double factor =
         (bound > 0.0 && norms[i] > bound) ? bound / norms[i] : 1.0;
-    axpy(out, factor / static_cast<double>(received.size()), received[i]);
+    kernels::axpy(out.data(), factor / static_cast<double>(m), batch.row(i),
+                  d);
   }
   return out;
 }

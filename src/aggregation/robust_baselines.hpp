@@ -21,9 +21,11 @@ class RfaRule final : public AggregationRule {
   explicit RfaRule(double nu = 1e-6, WeiszfeldOptions options = {})
       : nu_(nu), options_(options) {}
   std::string name() const override { return "RFA"; }
-  using AggregationRule::aggregate;
-  Vector aggregate(const VectorList& received,
-                   const AggregationContext& ctx) const override;
+
+ protected:
+  Vector do_aggregate(const GradientBatch& batch,
+                      AggregationWorkspace& workspace,
+                      const AggregationContext& ctx) const override;
 
  private:
   double nu_;
@@ -39,9 +41,11 @@ class CenteredClippingRule final : public AggregationRule {
                                 double tau_scale = 1.0)
       : iterations_(iterations), tau_scale_(tau_scale) {}
   std::string name() const override { return "CCLIP"; }
-  using AggregationRule::aggregate;
-  Vector aggregate(const VectorList& received,
-                   const AggregationContext& ctx) const override;
+
+ protected:
+  Vector do_aggregate(const GradientBatch& batch,
+                      AggregationWorkspace& workspace,
+                      const AggregationContext& ctx) const override;
 
  private:
   std::size_t iterations_;
@@ -53,9 +57,11 @@ class CenteredClippingRule final : public AggregationRule {
 class NormClippingRule final : public AggregationRule {
  public:
   std::string name() const override { return "NORM-CLIP"; }
-  using AggregationRule::aggregate;
-  Vector aggregate(const VectorList& received,
-                   const AggregationContext& ctx) const override;
+
+ protected:
+  Vector do_aggregate(const GradientBatch& batch,
+                      AggregationWorkspace& workspace,
+                      const AggregationContext& ctx) const override;
 };
 
 }  // namespace bcl

@@ -5,99 +5,30 @@
 
 namespace bcl {
 
-Vector AggregationRule::aggregate(const VectorList& received,
-                                  const AggregationContext& ctx) const {
-  AggregationWorkspace workspace(received, ctx.pool);
-  return aggregate(received, workspace, ctx);
-}
-
-Vector AggregationRule::aggregate(const VectorList& received,
-                                  AggregationWorkspace& workspace,
-                                  const AggregationContext& ctx) const {
-  if (workspace.size() != received.size()) {
-    throw std::invalid_argument(
-        "aggregate: workspace was built over a different inbox");
-  }
-  // The two aggregate() defaults adapt to each other; a rule implementing
-  // neither would bounce between them forever.  Detect the re-entry and
-  // fail loudly instead.
-  thread_local const AggregationRule* adapting = nullptr;
-  if (adapting == this) {
-    throw std::logic_error(
-        "AggregationRule: rule overrides neither aggregate() form");
-  }
-  const AggregationRule* const previous = adapting;
-  adapting = this;
-  struct Reset {
-    const AggregationRule** slot;
-    const AggregationRule* saved;
-    ~Reset() { *slot = saved; }
-  } reset{&adapting, previous};
-  return aggregate(received, ctx);
-}
-
-Vector AggregationRule::aggregate(const GradientBatch& batch,
-                                  AggregationWorkspace& workspace,
-                                  const AggregationContext& ctx) const {
-  check_batch_workspace(batch, workspace);
-  return aggregate(workspace.points(), workspace, ctx);
-}
-
-void AggregationRule::check_batch_workspace(
-    const GradientBatch& batch, const AggregationWorkspace& workspace) {
-  if (workspace.batch() != &batch) {
+void validate_inbox(const GradientBatch& batch,
+                    const AggregationWorkspace& workspace,
+                    const AggregationContext& ctx) {
+  if (&workspace.batch() != &batch) {
     throw std::invalid_argument(
         "aggregate: workspace was built over a different batch");
   }
-}
-
-namespace {
-
-void validate_bounds(std::size_t m, const AggregationContext& ctx) {
   if (ctx.n == 0) {
     throw std::invalid_argument("AggregationContext: n must be positive");
   }
   if (ctx.t >= ctx.n) {
     throw std::invalid_argument("AggregationContext: t must be < n");
   }
-  if (m < ctx.keep()) {
+  if (batch.rows() < ctx.keep()) {
     throw std::invalid_argument(
         "aggregate: fewer than n - t vectors received");
   }
-  if (m > ctx.n) {
+  if (batch.rows() > ctx.n) {
     throw std::invalid_argument("aggregate: more than n vectors received");
   }
-}
-
-}  // namespace
-
-std::size_t AggregationRule::validate(const VectorList& received,
-                                      const AggregationContext& ctx) {
-  validate_bounds(received.size(), ctx);
-  const std::size_t d = check_same_dimension(received);
-  if (d == 0) throw std::invalid_argument("aggregate: zero-dimensional input");
-  // A Byzantine NaN/Inf would silently poison every arithmetic rule (NaN
-  // propagates through means, medians and distances alike); reject at the
-  // boundary so callers get a diagnosable error instead of a NaN model.
-  for (const auto& v : received) {
-    for (double x : v) {
-      if (!std::isfinite(x)) {
-        throw std::invalid_argument(
-            "aggregate: received vector contains a non-finite value");
-      }
-    }
-  }
-  return d;
-}
-
-std::size_t AggregationRule::validate(const GradientBatch& batch,
-                                      const AggregationContext& ctx) {
-  validate_bounds(batch.rows(), ctx);
   const std::size_t d = batch.dim();
   if (d == 0) throw std::invalid_argument("aggregate: zero-dimensional input");
   // Row-based walk so borrowed view batches (no flat buffer) validate the
-  // same way as owned ones; for a contiguous batch this visits the same
-  // doubles in the same order as the flat scan it replaced.
+  // same way as owned ones.
   for (std::size_t i = 0; i < batch.rows(); ++i) {
     const double* row = batch.row(i);
     for (std::size_t k = 0; k < d; ++k) {
@@ -107,7 +38,20 @@ std::size_t AggregationRule::validate(const GradientBatch& batch,
       }
     }
   }
-  return d;
+}
+
+Vector AggregationRule::aggregate(const GradientBatch& batch,
+                                  AggregationWorkspace& workspace,
+                                  const AggregationContext& ctx) const {
+  validate_inbox(batch, workspace, ctx);
+  return do_aggregate(batch, workspace, ctx);
+}
+
+Vector AggregationRule::aggregate(const VectorList& received,
+                                  const AggregationContext& ctx) const {
+  const GradientBatch batch = GradientBatch::from(received);
+  AggregationWorkspace workspace(batch, ctx.pool);
+  return aggregate(batch, workspace, ctx);
 }
 
 }  // namespace bcl

@@ -7,23 +7,18 @@
 // the decentralized model every node applies a rule once per agreement
 // sub-round (Section 2.1 of the paper).
 //
-// Rules have three entry points.  The legacy single-inbox form
-// aggregate(received, ctx) stands alone; the workspace form
-// aggregate(received, workspace, ctx) additionally receives the per-inbox
-// AggregationWorkspace so distance-based rules share one pairwise
-// DistanceMatrix instead of each recomputing it; the batch form
-// aggregate(batch, workspace, ctx) consumes the contiguous GradientBatch
-// layout, which is what the trainers and the agreement protocol feed the
-// hot path (Gram-trick distances, blocked column reductions).  A rule
-// overrides whichever forms are natural (at least one of the first two):
-// the base class adapts each form to the others — the legacy default
-// builds a fresh lazy workspace and dispatches to the workspace form; the
-// workspace default ignores the workspace and dispatches to the legacy
-// form; the batch default materializes the workspace's VectorList view
-// (cached, at most once per inbox) and dispatches to the workspace form —
-// so all entry points work on every rule and produce identical outputs.
-// Overriding one form hides the base overload set on the concrete class,
-// so rule classes re-expose it with `using AggregationRule::aggregate;`.
+// Every rule has one entry point, aggregate(batch, workspace, ctx), over
+// the contiguous GradientBatch layout the trainers and the agreement
+// protocol feed the hot path, plus the AggregationWorkspace built over that
+// batch so distance-based rules share one pairwise DistanceMatrix instead
+// of each recomputing it.  The method is non-virtual: it checks once that
+// the workspace was built over the batch and that the inbox is valid
+// (validate_inbox), then calls the rule's protected do_aggregate(), so no
+// rule repeats either check.
+//
+// aggregate(received, ctx) is the VectorList convenience for callers at the
+// edge (examples, table benches, tests): it packs a batch, builds a
+// workspace with ctx.pool and calls the batch form.
 
 #include <cstddef>
 #include <memory>
@@ -57,6 +52,15 @@ struct AggregationContext {
   std::size_t keep() const { return n - t; }
 };
 
+/// The input check shared by every rule and round function.  Throws
+/// std::invalid_argument unless `workspace` was built over `batch` and the
+/// inbox fits the context: n > 0, t < n, n - t <= rows <= n, a positive
+/// dimension, and only finite values (a Byzantine NaN/Inf would silently
+/// poison every arithmetic rule, so it is rejected at the boundary).
+void validate_inbox(const GradientBatch& batch,
+                    const AggregationWorkspace& workspace,
+                    const AggregationContext& ctx);
+
 /// Interface for one-shot aggregation.  Implementations are stateless and
 /// thread-compatible: a single instance may be used concurrently from many
 /// nodes (each node passes its own workspace).
@@ -68,51 +72,22 @@ class AggregationRule {
   /// "BOX-GEOM").
   virtual std::string name() const = 0;
 
-  /// Aggregates the received vectors.  `received.size()` must be at least
-  /// ctx.keep(); rules throw std::invalid_argument otherwise.  The default
-  /// builds a fresh lazy workspace (with ctx.pool attached) and dispatches
-  /// to the workspace form.
-  virtual Vector aggregate(const VectorList& received,
-                           const AggregationContext& ctx) const;
+  /// Aggregates `batch`; `workspace` must have been built over it.  Runs
+  /// validate_inbox (which throws std::invalid_argument) and then the rule.
+  Vector aggregate(const GradientBatch& batch, AggregationWorkspace& workspace,
+                   const AggregationContext& ctx) const;
 
-  /// Workspace-aware aggregation: `workspace` must have been constructed
-  /// over `received`.  The default adapter ignores the workspace and calls
-  /// the legacy form, so rules that never consume pairwise distances need
-  /// not override it.  A rule overriding neither this nor the legacy form
-  /// gets a std::logic_error instead of unbounded mutual recursion.
-  virtual Vector aggregate(const VectorList& received,
-                           AggregationWorkspace& workspace,
-                           const AggregationContext& ctx) const;
-
-  /// Batch-native aggregation over the contiguous layout: `workspace` must
-  /// have been constructed over `batch`.  The default adapter dispatches to
-  /// the workspace form through the workspace's cached VectorList view, so
-  /// every rule accepts a batch; the hot rules (mean, Krum family, medoid,
-  /// MD rules, coordinate-wise reductions) override it to run entirely on
-  /// flat buffers.
-  virtual Vector aggregate(const GradientBatch& batch,
-                           AggregationWorkspace& workspace,
-                           const AggregationContext& ctx) const;
-  // (No two-argument batch convenience: overloading aggregate(received,
-  // ctx) on a second one-argument-constructible type would make braced
-  // inbox literals ambiguous.  Batch callers hold a workspace anyway.)
+  /// Edge convenience: packs `received` into a batch (rows must share one
+  /// dimension), builds a workspace with ctx.pool attached and aggregates.
+  Vector aggregate(const VectorList& received,
+                   const AggregationContext& ctx) const;
 
  protected:
-  /// Shared argument validation: non-empty, same dimension, enough vectors.
-  static std::size_t validate(const VectorList& received,
-                              const AggregationContext& ctx);
-
-  /// Batch-form validation: same bounds and finiteness checks over the
-  /// contiguous layout.
-  static std::size_t validate(const GradientBatch& batch,
-                              const AggregationContext& ctx);
-
-  /// Enforces the batch-form precondition that `workspace` was built over
-  /// `batch` (throws std::invalid_argument otherwise).  Every batch
-  /// override calls this, so a workspace carrying another inbox's distance
-  /// matrix fails loudly instead of silently skewing the aggregate.
-  static void check_batch_workspace(const GradientBatch& batch,
-                                    const AggregationWorkspace& workspace);
+  /// The rule itself, called only on a validated inbox with a workspace
+  /// built over it.
+  virtual Vector do_aggregate(const GradientBatch& batch,
+                              AggregationWorkspace& workspace,
+                              const AggregationContext& ctx) const = 0;
 };
 
 using AggregationRulePtr = std::shared_ptr<const AggregationRule>;

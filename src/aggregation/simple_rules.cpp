@@ -7,70 +7,34 @@
 
 namespace bcl {
 
-Vector MeanRule::aggregate(const VectorList& received,
-                           const AggregationContext& ctx) const {
-  validate(received, ctx);
-  return mean(received);
-}
-
-Vector MeanRule::aggregate(const GradientBatch& batch,
-                           AggregationWorkspace& workspace,
-                           const AggregationContext& ctx) const {
-  check_batch_workspace(batch, workspace);
-  validate(batch, ctx);
+Vector MeanRule::do_aggregate(const GradientBatch& batch,
+                              AggregationWorkspace& /*workspace*/,
+                              const AggregationContext& /*ctx*/) const {
   return mean(batch);
 }
 
-Vector GeometricMedianRule::aggregate(const VectorList& received,
-                                      const AggregationContext& ctx) const {
-  validate(received, ctx);
-  return geometric_median_point(received, options_);
+Vector GeometricMedianRule::do_aggregate(
+    const GradientBatch& batch, AggregationWorkspace& /*workspace*/,
+    const AggregationContext& /*ctx*/) const {
+  return geometric_median_point(batch.to_vectors(), options_);
 }
 
-Vector MedoidRule::aggregate(const VectorList& received,
-                             AggregationWorkspace& workspace,
-                             const AggregationContext& ctx) const {
-  validate(received, ctx);
-  return received[medoid_index(workspace.distances())];
-}
-
-Vector MedoidRule::aggregate(const GradientBatch& batch,
-                             AggregationWorkspace& workspace,
-                             const AggregationContext& ctx) const {
-  check_batch_workspace(batch, workspace);
-  validate(batch, ctx);
+Vector MedoidRule::do_aggregate(const GradientBatch& batch,
+                                AggregationWorkspace& workspace,
+                                const AggregationContext& /*ctx*/) const {
   return batch.row_copy(medoid_index(workspace.distances()));
 }
 
-Vector CoordinatewiseMedianRule::aggregate(
-    const VectorList& received, const AggregationContext& ctx) const {
-  validate(received, ctx);
-  return coordinatewise_median(received);
-}
-
-Vector CoordinatewiseMedianRule::aggregate(
-    const GradientBatch& batch, AggregationWorkspace& workspace,
-    const AggregationContext& ctx) const {
-  check_batch_workspace(batch, workspace);
-  validate(batch, ctx);
+Vector CoordinatewiseMedianRule::do_aggregate(
+    const GradientBatch& batch, AggregationWorkspace& /*workspace*/,
+    const AggregationContext& /*ctx*/) const {
   return coordinatewise_median(batch);
 }
 
-Vector TrimmedMeanRule::aggregate(const VectorList& received,
-                                  const AggregationContext& ctx) const {
-  validate(received, ctx);
-  const std::size_t m = received.size();
-  const std::size_t trim = std::min(ctx.t, (m - 1) / 2);
-  return coordinatewise_trimmed_mean(received, trim);
-}
-
-Vector TrimmedMeanRule::aggregate(const GradientBatch& batch,
-                                  AggregationWorkspace& workspace,
-                                  const AggregationContext& ctx) const {
-  check_batch_workspace(batch, workspace);
-  validate(batch, ctx);
-  const std::size_t m = batch.rows();
-  const std::size_t trim = std::min(ctx.t, (m - 1) / 2);
+Vector TrimmedMeanRule::do_aggregate(const GradientBatch& batch,
+                                     AggregationWorkspace& /*workspace*/,
+                                     const AggregationContext& ctx) const {
+  const std::size_t trim = std::min(ctx.t, (batch.rows() - 1) / 2);
   return coordinatewise_trimmed_mean(batch, trim);
 }
 

@@ -16,11 +16,11 @@ namespace bcl {
 class MeanRule final : public AggregationRule {
  public:
   std::string name() const override { return "MEAN"; }
-  using AggregationRule::aggregate;
-  Vector aggregate(const VectorList& received,
-                   const AggregationContext& ctx) const override;
-  Vector aggregate(const GradientBatch& batch, AggregationWorkspace& workspace,
-                   const AggregationContext& ctx) const override;
+
+ protected:
+  Vector do_aggregate(const GradientBatch& batch,
+                      AggregationWorkspace& workspace,
+                      const AggregationContext& ctx) const override;
 };
 
 /// Weiszfeld geometric median of everything received.
@@ -29,9 +29,11 @@ class GeometricMedianRule final : public AggregationRule {
   explicit GeometricMedianRule(WeiszfeldOptions options = {})
       : options_(options) {}
   std::string name() const override { return "GEOMED"; }
-  using AggregationRule::aggregate;
-  Vector aggregate(const VectorList& received,
-                   const AggregationContext& ctx) const override;
+
+ protected:
+  Vector do_aggregate(const GradientBatch& batch,
+                      AggregationWorkspace& workspace,
+                      const AggregationContext& ctx) const override;
 
  private:
   WeiszfeldOptions options_;
@@ -42,22 +44,22 @@ class GeometricMedianRule final : public AggregationRule {
 class MedoidRule final : public AggregationRule {
  public:
   std::string name() const override { return "MEDOID"; }
-  using AggregationRule::aggregate;
-  Vector aggregate(const VectorList& received, AggregationWorkspace& workspace,
-                   const AggregationContext& ctx) const override;
-  Vector aggregate(const GradientBatch& batch, AggregationWorkspace& workspace,
-                   const AggregationContext& ctx) const override;
+
+ protected:
+  Vector do_aggregate(const GradientBatch& batch,
+                      AggregationWorkspace& workspace,
+                      const AggregationContext& ctx) const override;
 };
 
 /// Coordinate-wise median.
 class CoordinatewiseMedianRule final : public AggregationRule {
  public:
   std::string name() const override { return "CW-MEDIAN"; }
-  using AggregationRule::aggregate;
-  Vector aggregate(const VectorList& received,
-                   const AggregationContext& ctx) const override;
-  Vector aggregate(const GradientBatch& batch, AggregationWorkspace& workspace,
-                   const AggregationContext& ctx) const override;
+
+ protected:
+  Vector do_aggregate(const GradientBatch& batch,
+                      AggregationWorkspace& workspace,
+                      const AggregationContext& ctx) const override;
 };
 
 /// Coordinate-wise trimmed mean, trimming min(t, (m-1)/2) values per side
@@ -65,11 +67,11 @@ class CoordinatewiseMedianRule final : public AggregationRule {
 class TrimmedMeanRule final : public AggregationRule {
  public:
   std::string name() const override { return "TRIM-MEAN"; }
-  using AggregationRule::aggregate;
-  Vector aggregate(const VectorList& received,
-                   const AggregationContext& ctx) const override;
-  Vector aggregate(const GradientBatch& batch, AggregationWorkspace& workspace,
-                   const AggregationContext& ctx) const override;
+
+ protected:
+  Vector do_aggregate(const GradientBatch& batch,
+                      AggregationWorkspace& workspace,
+                      const AggregationContext& ctx) const override;
 };
 
 }  // namespace bcl

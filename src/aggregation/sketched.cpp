@@ -70,42 +70,9 @@ void publish_fallback(const AggregationContext& ctx, const char* rule,
 
 }  // namespace
 
-// The list forms repack into the contiguous layout and reuse the batch
-// implementation: sketch application wants flat rows, and on fallback a
-// fresh exact workspace over the packed batch costs the same O(m^2 * d)
-// the borrowed one would.
-Vector SketchedKrumRule::aggregate(const VectorList& received,
-                                   AggregationWorkspace& workspace,
-                                   const AggregationContext& ctx) const {
-  (void)workspace;
-  const GradientBatch batch = GradientBatch::from(received);
-  AggregationWorkspace batch_ws(batch, ctx.pool);
-  return aggregate(batch, batch_ws, ctx);
-}
-
-Vector SketchedMultiKrumRule::aggregate(const VectorList& received,
-                                        AggregationWorkspace& workspace,
-                                        const AggregationContext& ctx) const {
-  (void)workspace;
-  const GradientBatch batch = GradientBatch::from(received);
-  AggregationWorkspace batch_ws(batch, ctx.pool);
-  return aggregate(batch, batch_ws, ctx);
-}
-
-Vector SketchedMdMeanRule::aggregate(const VectorList& received,
-                                     AggregationWorkspace& workspace,
-                                     const AggregationContext& ctx) const {
-  (void)workspace;
-  const GradientBatch batch = GradientBatch::from(received);
-  AggregationWorkspace batch_ws(batch, ctx.pool);
-  return aggregate(batch, batch_ws, ctx);
-}
-
-Vector SketchedKrumRule::aggregate(const GradientBatch& batch,
-                                   AggregationWorkspace& workspace,
-                                   const AggregationContext& ctx) const {
-  check_batch_workspace(batch, workspace);
-  validate(batch, ctx);
+Vector SketchedKrumRule::do_aggregate(
+    const GradientBatch& batch, AggregationWorkspace& workspace,
+    const AggregationContext& ctx) const {
   const std::size_t m = batch.rows();
   const std::size_t closest = closest_count(m, ctx);
   if (closest == 0) return batch.row_copy(0);
@@ -134,11 +101,9 @@ Vector SketchedKrumRule::aggregate(const GradientBatch& batch,
   return batch.row_copy(order[0]);
 }
 
-Vector SketchedMultiKrumRule::aggregate(const GradientBatch& batch,
-                                        AggregationWorkspace& workspace,
-                                        const AggregationContext& ctx) const {
-  check_batch_workspace(batch, workspace);
-  validate(batch, ctx);
+Vector SketchedMultiKrumRule::do_aggregate(
+    const GradientBatch& batch, AggregationWorkspace& workspace,
+    const AggregationContext& ctx) const {
   if (q_ == 0) {
     throw std::invalid_argument("SketchedMultiKrum: q must be positive");
   }
@@ -179,11 +144,9 @@ Vector SketchedMultiKrumRule::aggregate(const GradientBatch& batch,
   return mean_of_rows(batch, selection);
 }
 
-Vector SketchedMdMeanRule::aggregate(const GradientBatch& batch,
-                                     AggregationWorkspace& workspace,
-                                     const AggregationContext& ctx) const {
-  check_batch_workspace(batch, workspace);
-  validate(batch, ctx);
+Vector SketchedMdMeanRule::do_aggregate(
+    const GradientBatch& batch, AggregationWorkspace& workspace,
+    const AggregationContext& ctx) const {
   const std::size_t keep = ctx.keep();
 
   const auto exact = [&]() {

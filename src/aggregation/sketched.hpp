@@ -47,11 +47,11 @@ class SketchedKrumRule final : public AggregationRule {
  public:
   explicit SketchedKrumRule(SketchOptions options = {}) : options_(options) {}
   std::string name() const override { return "SKETCH-KRUM"; }
-  using AggregationRule::aggregate;
-  Vector aggregate(const VectorList& received, AggregationWorkspace& workspace,
-                   const AggregationContext& ctx) const override;
-  Vector aggregate(const GradientBatch& batch, AggregationWorkspace& workspace,
-                   const AggregationContext& ctx) const override;
+
+ protected:
+  Vector do_aggregate(const GradientBatch& batch,
+                      AggregationWorkspace& workspace,
+                      const AggregationContext& ctx) const override;
 
  private:
   SketchOptions options_;
@@ -64,11 +64,11 @@ class SketchedMultiKrumRule final : public AggregationRule {
   std::string name() const override {
     return "SKETCH-MULTIKRUM-" + std::to_string(q_);
   }
-  using AggregationRule::aggregate;
-  Vector aggregate(const VectorList& received, AggregationWorkspace& workspace,
-                   const AggregationContext& ctx) const override;
-  Vector aggregate(const GradientBatch& batch, AggregationWorkspace& workspace,
-                   const AggregationContext& ctx) const override;
+
+ protected:
+  Vector do_aggregate(const GradientBatch& batch,
+                      AggregationWorkspace& workspace,
+                      const AggregationContext& ctx) const override;
 
  private:
   std::size_t q_;
@@ -80,11 +80,11 @@ class SketchedMdMeanRule final : public AggregationRule {
   explicit SketchedMdMeanRule(SketchOptions options = {})
       : options_(options) {}
   std::string name() const override { return "SKETCH-MD-MEAN"; }
-  using AggregationRule::aggregate;
-  Vector aggregate(const VectorList& received, AggregationWorkspace& workspace,
-                   const AggregationContext& ctx) const override;
-  Vector aggregate(const GradientBatch& batch, AggregationWorkspace& workspace,
-                   const AggregationContext& ctx) const override;
+
+ protected:
+  Vector do_aggregate(const GradientBatch& batch,
+                      AggregationWorkspace& workspace,
+                      const AggregationContext& ctx) const override;
 
  private:
   SketchOptions options_;

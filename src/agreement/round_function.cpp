@@ -5,49 +5,14 @@
 
 #include "aggregation/registry.hpp"
 #include "geometry/min_diameter.hpp"
-#include "geometry/subsets.hpp"
 
 namespace bcl {
-
-Vector RoundFunction::step(const VectorList& received,
-                           AggregationWorkspace& workspace,
-                           const Vector& current,
-                           const AggregationContext& ctx) const {
-  if (workspace.size() != received.size()) {
-    throw std::invalid_argument(
-        "RoundFunction::step: workspace was built over a different inbox");
-  }
-  return step(received, current, ctx);
-}
-
-Vector RoundFunction::step(const GradientBatch& batch,
-                           AggregationWorkspace& workspace,
-                           const Vector& current,
-                           const AggregationContext& ctx) const {
-  if (workspace.batch() != &batch) {
-    throw std::invalid_argument(
-        "RoundFunction::step: workspace was built over a different batch");
-  }
-  return step(workspace.points(), workspace, current, ctx);
-}
 
 RuleRound::RuleRound(AggregationRulePtr rule) : rule_(std::move(rule)) {
   if (!rule_) throw std::invalid_argument("RuleRound: null rule");
 }
 
 std::string RuleRound::name() const { return rule_->name(); }
-
-Vector RuleRound::step(const VectorList& received, const Vector& /*current*/,
-                       const AggregationContext& ctx) const {
-  return rule_->aggregate(received, ctx);
-}
-
-Vector RuleRound::step(const VectorList& received,
-                       AggregationWorkspace& workspace,
-                       const Vector& /*current*/,
-                       const AggregationContext& ctx) const {
-  return rule_->aggregate(received, workspace, ctx);
-}
 
 Vector RuleRound::step(const GradientBatch& batch,
                        AggregationWorkspace& workspace,
@@ -56,17 +21,18 @@ Vector RuleRound::step(const GradientBatch& batch,
   return rule_->aggregate(batch, workspace, ctx);
 }
 
-namespace {
-
-Vector sticky_step(const VectorList& received, const DistanceMatrix& dist,
-                   const Vector& current, const AggregationContext& ctx,
-                   const WeiszfeldOptions& options) {
-  const auto tied = min_diameter_subsets(dist, ctx.keep());
+Vector StickyMinDiameterGeoRound::step(const GradientBatch& batch,
+                                       AggregationWorkspace& workspace,
+                                       const Vector& current,
+                                       const AggregationContext& ctx) const {
+  validate_inbox(batch, workspace, ctx);
+  const auto tied = min_diameter_subsets(workspace.distances(), ctx.keep());
   Vector best;
   double best_dist = std::numeric_limits<double>::infinity();
   for (const auto& candidate : tied) {
     const Vector median =
-        geometric_median_point(gather(received, candidate.indices), options);
+        geometric_median_point(gather_rows(batch, candidate.indices),
+                               options_);
     const double d = distance(median, current);
     if (d < best_dist) {
       best_dist = d;
@@ -74,25 +40,6 @@ Vector sticky_step(const VectorList& received, const DistanceMatrix& dist,
     }
   }
   return best;
-}
-
-}  // namespace
-
-Vector StickyMinDiameterGeoRound::step(const VectorList& received,
-                                       const Vector& current,
-                                       const AggregationContext& ctx) const {
-  AggregationWorkspace workspace(received, ctx.pool);
-  return step(received, workspace, current, ctx);
-}
-
-Vector StickyMinDiameterGeoRound::step(const VectorList& received,
-                                       AggregationWorkspace& workspace,
-                                       const Vector& current,
-                                       const AggregationContext& ctx) const {
-  if (received.size() < ctx.keep()) {
-    throw std::invalid_argument("StickyMinDiameterGeoRound: too few vectors");
-  }
-  return sticky_step(received, workspace.distances(), current, ctx, options_);
 }
 
 RoundFunctionPtr make_round_function(const std::string& rule_name) {

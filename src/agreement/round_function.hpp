@@ -7,6 +7,11 @@
 // StickyMinDiameterGeoRound exposes the natural "prefer a subset close to
 // my current vector" choice, which is exactly the freedom Lemma 4.2's
 // adversary needs to stall convergence.
+//
+// A round function has one entry point, step(batch, workspace, current,
+// ctx), over the contiguous inbox batch and the workspace built over it;
+// every implementation runs validate_inbox (aggregation/rule.hpp) before
+// reading the inbox.
 
 #include <memory>
 #include <string>
@@ -21,25 +26,14 @@ class RoundFunction {
  public:
   virtual ~RoundFunction() = default;
   virtual std::string name() const = 0;
-  /// `received` is the round's inbox (>= n - t vectors); `current` is the
-  /// node's own vector at the start of the round.
-  virtual Vector step(const VectorList& received, const Vector& current,
-                      const AggregationContext& ctx) const = 0;
-  /// Workspace-aware step: `workspace` was built over `received` by the
-  /// protocol, so every distance consumer in the round shares one pairwise
-  /// matrix.  Default adapter ignores the workspace and calls the legacy
-  /// step.
-  virtual Vector step(const VectorList& received,
-                      AggregationWorkspace& workspace, const Vector& current,
-                      const AggregationContext& ctx) const;
 
-  /// Batch-native step over the contiguous inbox layout (the protocol's
-  /// fast path: Gram-trick distances, blocked reductions).  The default
-  /// adapter dispatches to the workspace step through the workspace's
-  /// cached VectorList view.
+  /// `batch` is the round's inbox (>= n - t vectors) and `workspace` was
+  /// built over it, so every distance consumer in the round shares one
+  /// pairwise matrix; `current` is the node's own vector at the start of
+  /// the round.  Throws std::invalid_argument on an invalid inbox.
   virtual Vector step(const GradientBatch& batch,
                       AggregationWorkspace& workspace, const Vector& current,
-                      const AggregationContext& ctx) const;
+                      const AggregationContext& ctx) const = 0;
 
   /// True when step() ignores `current` (the node's own vector), i.e. the
   /// output is a pure function of the inbox.  The agreement protocol then
@@ -57,11 +51,6 @@ class RuleRound final : public RoundFunction {
  public:
   explicit RuleRound(AggregationRulePtr rule);
   std::string name() const override;
-  Vector step(const VectorList& received, const Vector& current,
-              const AggregationContext& ctx) const override;
-  Vector step(const VectorList& received, AggregationWorkspace& workspace,
-              const Vector& current,
-              const AggregationContext& ctx) const override;
   Vector step(const GradientBatch& batch, AggregationWorkspace& workspace,
               const Vector& current,
               const AggregationContext& ctx) const override;
@@ -83,9 +72,7 @@ class StickyMinDiameterGeoRound final : public RoundFunction {
   explicit StickyMinDiameterGeoRound(WeiszfeldOptions options = {})
       : options_(options) {}
   std::string name() const override { return "MD-GEOM-STICKY"; }
-  Vector step(const VectorList& received, const Vector& current,
-              const AggregationContext& ctx) const override;
-  Vector step(const VectorList& received, AggregationWorkspace& workspace,
+  Vector step(const GradientBatch& batch, AggregationWorkspace& workspace,
               const Vector& current,
               const AggregationContext& ctx) const override;
 

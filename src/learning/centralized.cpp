@@ -321,7 +321,8 @@ TrainingResult CentralizedTrainer::run() {
       // matrix.  When every row arrived sparse-encoded at unit weight (the
       // encoded forms carry unweighted values), the matrix is built from
       // the encoded forms through the sparse Gram kernels — O(pairwise
-      // nnz) instead of O(m^2 * d).
+      // nnz) instead of O(m^2 * d), and lent to the workspace.
+      DistanceMatrix sparse_distances;
       std::optional<AggregationWorkspace> workspace;
       shards = std::min(std::max<std::size_t>(config_.cohort.shards, 1), rows);
       const bool use_sketch =
@@ -345,8 +346,8 @@ TrainingResult CentralizedTrainer::run() {
           for (const Upload& upload : arrivals) {
             upload.encoded->append_row_to(sparse_rows);
           }
-          workspace.emplace(inbox, DistanceMatrix(sparse_rows, ctx.pool),
-                            ctx.pool);
+          sparse_distances = DistanceMatrix(sparse_rows, ctx.pool);
+          workspace.emplace(inbox, &sparse_distances, ctx.pool);
         } else {
           workspace.emplace(inbox, ctx.pool);
         }

@@ -19,27 +19,27 @@
 // diameter() keeps its documented bitwise agreement with bcl::diameter()
 // (both maximize over squared entries and take a single final sqrt).
 //
-// Two build paths exist:
-//  - the legacy VectorList constructor evaluates distance_squared per pair,
-//    so entries are bitwise identical to the historical per-rule
-//    recomputation (rows handed out via the pool's dynamic schedule; the
-//    triangular row loop is exactly the imbalanced shape the static
-//    schedule handles poorly);
-//  - the GradientBatch constructor uses the Gram trick: when a cheap
-//    streaming check finds the rows' common offset dominating their
-//    spread, the rows are first re-based against row 0 (distances are
-//    translation-invariant, and the re-basing removes the catastrophic
-//    cancellation the raw identity suffers for tightly clustered points
-//    far from the origin), then one blocked
+// Two dense build paths exist:
+//  - the GradientBatch constructor, behind every AggregationWorkspace,
+//    uses the Gram trick: when a cheap streaming check finds the rows'
+//    common offset dominating their spread, the rows are first re-based
+//    against row 0 (distances are translation-invariant, and the re-basing
+//    removes the catastrophic cancellation the raw identity suffers for
+//    tightly clustered points far from the origin), then one blocked
 //    G = X * X^T product (kernels::gram_upper_columns, SIMD-capable and
 //    self-scheduled across column blocks of the upper triangle) yields
-//    ||x_i - x_j||^2 = G_ii + G_jj - 2 G_ij.  This is the fast path — the
-//    contiguous layout and the register-blocked kernel replace m^2/2
-//    latency-bound scalar loops — and agrees with the per-pair build to
-//    ~1e-12 relative to the squared spread (clamped at zero, and exactly
-//    zero for bitwise-equal rows, since norms are read off the Gram
-//    diagonal and the kernel's per-entry arithmetic is
-//    blocking-independent).
+//    ||x_i - x_j||^2 = G_ii + G_jj - 2 G_ij.  The contiguous layout and the
+//    register-blocked kernel replace m^2/2 latency-bound scalar loops, and
+//    the result agrees with the per-pair build to ~1e-12 relative to the
+//    squared spread (clamped at zero, and exactly zero for bitwise-equal
+//    rows, since norms are read off the Gram diagonal and the kernel's
+//    per-entry arithmetic is blocking-independent);
+//  - the VectorList constructor evaluates distance_squared per pair (rows
+//    handed out via the pool's dynamic schedule; the triangular row loop is
+//    exactly the imbalanced shape the static schedule handles poorly).  It
+//    is the exact oracle the tests lend a workspace to check every rule's
+//    Gram-path selection against, and it backs the VectorList geometry
+//    helpers (medoid_index, min_diameter_subset(s)).
 
 #include <cstddef>
 #include <cmath>

@@ -136,4 +136,10 @@ Vector mean(const GradientBatch& batch);
 Vector mean_of_rows(const GradientBatch& batch,
                     const std::vector<std::size_t>& indices);
 
+/// Copies the selected rows, in `indices` order, into a VectorList: the
+/// subset input of the point-list kernels (Weiszfeld) behind BOX-*,
+/// MD-GEOM and the sticky MD-GEOM round.
+VectorList gather_rows(const GradientBatch& batch,
+                       const std::vector<std::size_t>& indices);
+
 }  // namespace bcl

@@ -116,8 +116,8 @@ Vector coordinatewise_trimmed_mean(const GradientBatch& batch,
       });
 }
 
-Hyperbox trimmed_hyperbox(const VectorList& vs, std::size_t keep) {
-  const std::size_t m = vs.size();
+Hyperbox trimmed_hyperbox(const GradientBatch& batch, std::size_t keep) {
+  const std::size_t m = batch.rows();
   if (keep == 0 || keep > m) {
     throw std::invalid_argument("trimmed_hyperbox: keep must be in [1, m]");
   }
@@ -130,12 +130,12 @@ Hyperbox trimmed_hyperbox(const VectorList& vs, std::size_t keep) {
           "trimmed_hyperbox: too few vectors kept relative to trimming");
     }
   }
-  const std::size_t d = check_same_dimension(vs);
+  const std::size_t d = batch.dim();
   Vector lo(d);
   Vector hi(d);
   std::vector<double> column(m);
   for (std::size_t k = 0; k < d; ++k) {
-    for (std::size_t i = 0; i < m; ++i) column[i] = vs[i][k];
+    for (std::size_t i = 0; i < m; ++i) column[i] = batch.row(i)[k];
     std::sort(column.begin(), column.end());
     lo[k] = column[drop];          // (drop+1)-th smallest, 0-indexed
     hi[k] = column[keep - 1];      // (m-drop)-th smallest = keep-th

@@ -43,11 +43,11 @@ Vector coordinatewise_trimmed_mean(const GradientBatch& batch,
 
 /// The locally trusted hyperbox of Definition 2.5: in each coordinate,
 /// interval from the (drop+1)-th smallest to the (m-drop)-th smallest value
-/// (1-indexed), where drop = m - keep and m = vs.size().
+/// (1-indexed), where drop = m - keep and m = batch.rows().
 ///
 /// `keep` is the paper's n - t.  Requires n - t <= m and drop*2 may exceed
 /// the interval only when keep <= drop, which is rejected.
-Hyperbox trimmed_hyperbox(const VectorList& vs, std::size_t keep);
+Hyperbox trimmed_hyperbox(const GradientBatch& batch, std::size_t keep);
 
 /// Sample mean and (population) standard deviation of values.
 struct MeanStd {

@@ -1,37 +1,31 @@
 #pragma once
 // Per-inbox aggregation workspace.
 //
-// An AggregationWorkspace bundles one inbox with lazily computed shared
-// state — today the pairwise DistanceMatrix, plus the worker pool to build
-// it with.  A node (or the central server, or a bench harness comparing
-// rules) constructs one workspace per inbox and passes it to every rule,
-// geometry search, and round function that consumes the same vectors, so
-// the O(m^2 * d) distance computation happens at most once per inbox no
-// matter how many consumers run off it.
+// An AggregationWorkspace bundles one inbox — a borrowed GradientBatch —
+// with its pairwise DistanceMatrix and the worker pool to build it with.  A
+// node (or the central server, or a bench harness comparing rules)
+// constructs one workspace per inbox and passes it to every rule, geometry
+// search, and round function that consumes the same vectors, so the
+// O(m^2 * d) distance computation happens at most once per inbox no matter
+// how many consumers run off it.
 //
-// The inbox is borrowed in one of two representations, and the workspace
-// adapts whichever one a consumer asks for:
-//  - a legacy VectorList: distances() uses the exact per-pair build, so
-//    every matrix-based result stays bitwise identical to the historical
-//    per-rule recomputation; batch() is null.
-//  - a contiguous GradientBatch (the fast path): distances() uses the
-//    tiled Gram-trick build, and points() materializes a VectorList copy
-//    on first use for consumers that still speak the legacy type.
-// Either way the borrowed inbox must outlive the workspace.
-//
-// Laziness matters: rules that never touch pairwise distances (MEAN,
-// CW-MEDIAN, TRIM-MEAN, the clipping baselines) never trigger the build,
-// and batch-native rules never trigger the VectorList materialization.
+// The distance matrix is either
+//  - built lazily on first use with the Gram-trick batch build, so rules
+//    that never touch pairwise distances (MEAN, CW-MEDIAN, TRIM-MEAN, the
+//    hyperbox and clipping rules) never trigger it; or
+//  - borrowed from a producer that already holds it: the agreement
+//    protocol's sub-round share cache (one build for every node whose
+//    inbox matches) and the centralized trainer's sparse Gram build over a
+//    compressed inbox.
+// The batch and a borrowed matrix must outlive the workspace.
 //
 // A workspace is intended for single-threaded use (one node's round);
 // internal consumers may still fan work out across the attached pool.
 
 #include <cstddef>
-#include <utility>
 
 #include "linalg/distance_matrix.hpp"
 #include "linalg/gradient_batch.hpp"
-#include "linalg/vector_ops.hpp"
 
 namespace bcl {
 
@@ -39,90 +33,48 @@ class ThreadPool;
 
 class AggregationWorkspace {
  public:
-  /// Borrows `points` (the inbox); `pool`, when non-null, parallelizes the
-  /// distance-matrix build and is exposed to subset-parallel consumers.
-  explicit AggregationWorkspace(const VectorList& points,
-                                ThreadPool* pool = nullptr)
-      : points_(&points), pool_(pool) {}
-
-  /// Borrows a contiguous `batch`; distances() then uses the Gram-trick
-  /// build and points() materializes lazily.
+  /// Borrows `batch`; `pool`, when non-null, parallelizes the distance
+  /// build and is exposed to subset-parallel consumers.
   explicit AggregationWorkspace(const GradientBatch& batch,
                                 ThreadPool* pool = nullptr)
       : batch_(&batch), pool_(pool) {}
 
-  /// Borrows `batch` but adopts `prebuilt` as the distance matrix (which
-  /// must cover the same rows): producers that computed distances some
-  /// cheaper way — e.g. the sparse Gram build over a compressed inbox —
-  /// hand the result over instead of letting distances() densify again.
-  AggregationWorkspace(const GradientBatch& batch, DistanceMatrix prebuilt,
-                       ThreadPool* pool = nullptr)
-      : batch_(&batch),
-        pool_(pool),
-        matrix_(std::move(prebuilt)),
-        built_(true) {}
-
-  /// Borrows `batch` AND a shared distance matrix owned elsewhere (which
-  /// must cover the same rows and outlive the workspace): the agreement
-  /// protocol builds one DistanceMatrix per distinct sub-round inbox and
-  /// lends it to every node whose inbox matches, so n nodes pay one
-  /// O(m^2 * d) build instead of n.  A pointer parameter (not a reference)
-  /// keeps this overload distinct from the owning by-value constructor
-  /// above; `shared` must be non-null.
+  /// Borrows `batch` AND its distance matrix `shared` (non-null, covering
+  /// the same rows, owned elsewhere).
   AggregationWorkspace(const GradientBatch& batch,
                        const DistanceMatrix* shared,
                        ThreadPool* pool = nullptr)
-      : batch_(&batch), pool_(pool), shared_(shared), built_(true) {}
+      : batch_(&batch), pool_(pool), distances_(shared) {}
 
   AggregationWorkspace(const AggregationWorkspace&) = delete;
   AggregationWorkspace& operator=(const AggregationWorkspace&) = delete;
 
-  /// The inbox as a VectorList: the borrowed list itself when list-backed,
-  /// else a copy of the batch materialized on first use and cached.
-  const VectorList& points() {
-    if (points_ != nullptr) return *points_;
-    if (!materialized_built_) {
-      materialized_ = batch_->to_vectors();
-      materialized_built_ = true;
-    }
-    return materialized_;
-  }
-
-  /// The borrowed batch, or nullptr for a list-backed workspace.
-  const GradientBatch* batch() const { return batch_; }
+  /// The borrowed inbox.
+  const GradientBatch& batch() const { return *batch_; }
 
   /// Number of vectors in the inbox.
-  std::size_t size() const {
-    return points_ != nullptr ? points_->size() : batch_->rows();
-  }
+  std::size_t size() const { return batch_->rows(); }
 
   ThreadPool* pool() const { return pool_; }
 
-  /// True once distances() has been computed.
-  bool has_distances() const { return built_; }
+  /// True once the distance matrix is available (borrowed or built).
+  bool has_distances() const { return distances_ != nullptr; }
 
-  /// The pairwise distance matrix of the inbox: the borrowed shared matrix
-  /// when one was attached, else computed on first use (pool-parallel when
-  /// a pool is attached) and cached afterwards.
+  /// The pairwise distance matrix of the inbox: the borrowed one, else
+  /// built on first use (pool-parallel when a pool is attached) and cached.
   const DistanceMatrix& distances() {
-    if (shared_ != nullptr) return *shared_;
-    if (!built_) {
-      matrix_ = batch_ != nullptr ? DistanceMatrix(*batch_, pool_)
-                                  : DistanceMatrix(*points_, pool_);
-      built_ = true;
+    if (distances_ == nullptr) {
+      built_ = DistanceMatrix(*batch_, pool_);
+      distances_ = &built_;
     }
-    return matrix_;
+    return *distances_;
   }
 
  private:
-  const VectorList* points_ = nullptr;
-  const GradientBatch* batch_ = nullptr;
-  ThreadPool* pool_ = nullptr;
-  const DistanceMatrix* shared_ = nullptr;
-  DistanceMatrix matrix_;
-  bool built_ = false;
-  VectorList materialized_;
-  bool materialized_built_ = false;
+  const GradientBatch* batch_;
+  ThreadPool* pool_;
+  const DistanceMatrix* distances_ = nullptr;
+  DistanceMatrix built_;
 };
 
 }  // namespace bcl

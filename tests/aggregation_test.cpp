@@ -295,7 +295,7 @@ TEST(BoxMean, MatchesManualConstructionOneDim) {
 
 TEST(BoxRules, SubsetAggregatesMatchSerialAndParallel) {
   Rng rng(10);
-  const VectorList pts = random_points(rng, 9, 5);
+  const GradientBatch pts = GradientBatch::from(random_points(rng, 9, 5));
   ThreadPool pool(3);
   const auto serial = subset_aggregates(
       pts, 7, nullptr, [](const VectorList& s) { return mean(s); });

@@ -211,7 +211,9 @@ TEST(RoundFunction, RuleRoundDelegatesToRule) {
   AggregationContext ctx;
   ctx.n = 3;
   ctx.t = 0;
-  const Vector out = fn->step({{0.0}, {3.0}, {6.0}}, {100.0}, ctx);
+  const GradientBatch received = GradientBatch::from({{0.0}, {3.0}, {6.0}});
+  AggregationWorkspace ws(received);
+  const Vector out = fn->step(received, ws, {100.0}, ctx);
   EXPECT_DOUBLE_EQ(out[0], 3.0);
   EXPECT_EQ(fn->name(), "MEAN");
 }
@@ -226,9 +228,11 @@ TEST(RoundFunction, StickyMdGeomPrefersSubsetNearCurrent) {
   AggregationContext ctx;
   ctx.n = 6;
   ctx.t = 3;  // keep = 3: both clusters are tied minimum-diameter sets
-  const VectorList received{{0.0}, {0.1}, {0.2}, {10.0}, {10.1}, {10.2}};
-  const Vector near_zero = fn->step(received, {0.1}, ctx);
-  const Vector near_ten = fn->step(received, {10.1}, ctx);
+  const GradientBatch received =
+      GradientBatch::from({{0.0}, {0.1}, {0.2}, {10.0}, {10.1}, {10.2}});
+  AggregationWorkspace ws(received);
+  const Vector near_zero = fn->step(received, ws, {0.1}, ctx);
+  const Vector near_ten = fn->step(received, ws, {10.1}, ctx);
   EXPECT_LT(near_zero[0], 1.0);
   EXPECT_GT(near_ten[0], 9.0);
 }
@@ -238,7 +242,28 @@ TEST(RoundFunction, StickyMdGeomRejectsTooFewVectors) {
   AggregationContext ctx;
   ctx.n = 5;
   ctx.t = 1;
-  EXPECT_THROW(fn->step({{0.0}}, {0.0}, ctx), std::invalid_argument);
+  const GradientBatch received = GradientBatch::from({{0.0}});
+  AggregationWorkspace ws(received);
+  EXPECT_THROW(fn->step(received, ws, {0.0}, ctx), std::invalid_argument);
+}
+
+TEST(RoundFunction, StickyMdGeomValidatesInbox) {
+  // The sticky round runs the same inbox check as every rule: a non-finite
+  // row and more rows than n are both rejected, never aggregated.
+  const auto fn = make_round_function("MD-GEOM-STICKY");
+  AggregationContext ctx;
+  ctx.n = 4;
+  ctx.t = 1;
+  const GradientBatch with_nan = GradientBatch::from(
+      {{0.0, 1.0}, {std::nan(""), 0.0}, {1.0, 1.0}, {2.0, 0.0}});
+  AggregationWorkspace nan_ws(with_nan);
+  EXPECT_THROW(fn->step(with_nan, nan_ws, {0.0, 0.0}, ctx),
+               std::invalid_argument);
+  const GradientBatch too_many =
+      GradientBatch::from({{0.0}, {1.0}, {2.0}, {3.0}, {4.0}, {5.0}});
+  AggregationWorkspace many_ws(too_many);
+  EXPECT_THROW(fn->step(too_many, many_ws, {0.0}, ctx),
+               std::invalid_argument);
 }
 
 // --- property sweep: convergence across n, t, d ---

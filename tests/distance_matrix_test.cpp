@@ -1,9 +1,9 @@
 // Tests for the shared distance-matrix workspace: DistanceMatrix agrees
 // with the per-pair kernels it replaces (bitwise, not approximately), the
 // pool-parallel build matches the serial one, laziness works, and every
-// workspace-aware aggregation rule / round function produces exactly the
-// same output through the legacy single-inbox signature and through a
-// shared workspace.
+// aggregation rule / round function produces exactly the same output over
+// a workspace lent the exact per-pair matrix (the test oracle) as over the
+// Gram-trick workspace the trainers and the protocol build.
 
 #include <gtest/gtest.h>
 
@@ -112,20 +112,20 @@ TEST(DistanceMatrix, DegenerateSizes) {
 
 TEST(AggregationWorkspace, BuildsDistancesLazilyAndOnce) {
   Rng rng(16);
-  const VectorList pts = random_points(rng, 8, 3);
+  const GradientBatch pts = GradientBatch::from(random_points(rng, 8, 3));
   AggregationWorkspace ws(pts);
   EXPECT_FALSE(ws.has_distances());
   const DistanceMatrix* first = &ws.distances();
   EXPECT_TRUE(ws.has_distances());
   EXPECT_EQ(first, &ws.distances());  // cached, not rebuilt
-  EXPECT_EQ(ws.size(), pts.size());
-  EXPECT_EQ(&ws.points(), &pts);
+  EXPECT_EQ(ws.size(), pts.rows());
+  EXPECT_EQ(&ws.batch(), &pts);
 }
 
 TEST(AggregationWorkspace, MismatchedInboxThrows) {
   Rng rng(17);
-  const VectorList pts = random_points(rng, 8, 3);
-  const VectorList other = random_points(rng, 6, 3);
+  const GradientBatch pts = GradientBatch::from(random_points(rng, 8, 3));
+  const GradientBatch other = GradientBatch::from(random_points(rng, 6, 3));
   AggregationWorkspace ws(other);
   AggregationContext ctx;
   ctx.n = 8;
@@ -208,23 +208,44 @@ TEST(DistanceMatrix, MinDiameterSubsetMatchesLegacyAndBruteForce) {
   }
 }
 
-// --- regression: every rule, workspace path vs legacy path ---
+// --- differential oracle: per-pair distances vs the Gram workspace ---
 
-TEST(WorkspaceRegression, AllRulesMatchLegacySignatureExactly) {
+// Every registry rule plus the sticky MD-GEOM round, over a workspace lent
+// the exact per-pair DistanceMatrix(VectorList) and over the default
+// Gram-trick workspace: the two builds agree to ~1e-12 relative, and on
+// these inputs every distance-based selection (Krum scores, medoid,
+// minimum-diameter subsets and their ties) must come out the same, so the
+// outputs are bitwise equal.
+TEST(WorkspaceRegression, PerPairOracleMatchesGramWorkspace) {
   Rng rng(21);
   std::vector<std::string> names = all_rule_names();
   for (const auto& extra : extended_rule_names()) names.push_back(extra);
-  for (int trial = 0; trial < 5; ++trial) {
-    const VectorList received = random_points(rng, 10, 8);
+  const auto sticky = make_round_function("MD-GEOM-STICKY");
+  struct Shape {
+    std::size_t n, t, d;
+  };
+  for (const Shape shape : {Shape{10, 2, 8}, Shape{9, 2, 24}, Shape{7, 2, 5}}) {
     AggregationContext ctx;
-    ctx.n = 10;
-    ctx.t = 2;
-    for (const auto& name : names) {
-      const auto rule = make_rule(name);
-      const Vector legacy = rule->aggregate(received, ctx);
-      AggregationWorkspace ws(received);
-      const Vector shared = rule->aggregate(received, ws, ctx);
-      EXPECT_EQ(legacy, shared) << "rule " << name << " trial " << trial;
+    ctx.n = shape.n;
+    ctx.t = shape.t;
+    for (int trial = 0; trial < 5; ++trial) {
+      const VectorList received = random_points(rng, shape.n, shape.d);
+      const Vector current = random_points(rng, 1, shape.d).front();
+      const GradientBatch batch = GradientBatch::from(received);
+      const DistanceMatrix per_pair(received);
+      for (const auto& name : names) {
+        const auto rule = make_rule(name);
+        AggregationWorkspace oracle_ws(batch, &per_pair);
+        AggregationWorkspace gram_ws(batch);
+        EXPECT_EQ(rule->aggregate(batch, oracle_ws, ctx),
+                  rule->aggregate(batch, gram_ws, ctx))
+            << "rule " << name << " d=" << shape.d << " trial " << trial;
+      }
+      AggregationWorkspace oracle_ws(batch, &per_pair);
+      AggregationWorkspace gram_ws(batch);
+      EXPECT_EQ(sticky->step(batch, oracle_ws, current, ctx),
+                sticky->step(batch, gram_ws, current, ctx))
+          << "MD-GEOM-STICKY d=" << shape.d << " trial " << trial;
     }
   }
 }
@@ -232,15 +253,16 @@ TEST(WorkspaceRegression, AllRulesMatchLegacySignatureExactly) {
 TEST(WorkspaceRegression, OneWorkspaceServesManyRules) {
   Rng rng(22);
   const VectorList received = random_points(rng, 10, 16);
+  const GradientBatch batch = GradientBatch::from(received);
   AggregationContext ctx;
   ctx.n = 10;
   ctx.t = 2;
   // The comparison-suite pattern: one inbox, one workspace, many rules.
-  AggregationWorkspace ws(received);
+  AggregationWorkspace ws(batch);
   for (const auto& name : {"KRUM", "MULTIKRUM-3", "MEDOID", "MD-MEAN",
                            "MD-GEOM", "BOX-GEOM"}) {
     const auto rule = make_rule(name);
-    EXPECT_EQ(rule->aggregate(received, ws, ctx),
+    EXPECT_EQ(rule->aggregate(batch, ws, ctx),
               rule->aggregate(received, ctx))
         << "rule " << name;
   }
@@ -250,34 +272,18 @@ TEST(WorkspaceRegression, OneWorkspaceServesManyRules) {
 
 TEST(WorkspaceRegression, PoolWorkspaceMatchesSerial) {
   Rng rng(23);
-  const VectorList received = random_points(rng, 12, 10);
+  const GradientBatch batch = GradientBatch::from(random_points(rng, 12, 10));
   ThreadPool pool(4);
   AggregationContext ctx;
   ctx.n = 12;
   ctx.t = 2;
   for (const auto& name : {"KRUM", "MEDOID", "MD-MEAN", "BOX-MEAN"}) {
     const auto rule = make_rule(name);
-    AggregationWorkspace serial_ws(received);
-    AggregationWorkspace pool_ws(received, &pool);
-    EXPECT_EQ(rule->aggregate(received, serial_ws, ctx),
-              rule->aggregate(received, pool_ws, ctx))
+    AggregationWorkspace serial_ws(batch);
+    AggregationWorkspace pool_ws(batch, &pool);
+    EXPECT_EQ(rule->aggregate(batch, serial_ws, ctx),
+              rule->aggregate(batch, pool_ws, ctx))
         << "rule " << name;
-  }
-}
-
-TEST(WorkspaceRegression, RoundFunctionsMatchLegacyStep) {
-  Rng rng(24);
-  const VectorList received = random_points(rng, 10, 6);
-  const Vector current = random_points(rng, 1, 6).front();
-  AggregationContext ctx;
-  ctx.n = 10;
-  ctx.t = 2;
-  for (const auto& name : {"BOX-GEOM", "MD-GEOM", "MD-GEOM-STICKY", "KRUM"}) {
-    const auto round = make_round_function(name);
-    AggregationWorkspace ws(received);
-    EXPECT_EQ(round->step(received, ws, current, ctx),
-              round->step(received, current, ctx))
-        << "round function " << name;
   }
 }
 

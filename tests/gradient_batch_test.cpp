@@ -5,9 +5,8 @@
 //  - Gram-trick distances agree with the exact per-pair build within 1e-9
 //    relative tolerance on randomized inputs (and exactly for duplicate
 //    rows), serial and pool builds bitwise identical;
-//  - every relabeled rule (Krum, Multi-Krum, MDA, MD-GEOM, medoid, mean,
-//    CW-median, trimmed mean) returns identical selections/outputs through
-//    the batch entry point as through the legacy VectorList path;
+//  - every rule rejects a workspace built over a different batch (the
+//    per-pair vs Gram selection oracle lives in distance_matrix_test);
 //  - the im2col Conv2D matches the direct convolution exactly on forward
 //    and to 1e-12 on gradients (the accumulation orders differ).
 
@@ -253,29 +252,7 @@ TEST(BatchReductions, TrimmedMeanMatchesExactly) {
                std::invalid_argument);
 }
 
-// --- rules: batch path vs legacy path ------------------------------------
-
-TEST(BatchRules, AllRulesMatchLegacyOnRandomInputs) {
-  Rng rng(39);
-  AggregationContext ctx;
-  ctx.n = 10;
-  ctx.t = 2;
-  const std::vector<std::string> names{
-      "MEAN",      "CW-MEDIAN", "TRIM-MEAN", "MEDOID",  "KRUM",
-      "MULTIKRUM-3", "MD-MEAN",  "MD-GEOM",   "GEOMED",  "BOX-MEAN",
-      "BOX-GEOM"};
-  for (int trial = 0; trial < 5; ++trial) {
-    const VectorList received = random_points(rng, 10, 24);
-    const GradientBatch batch = GradientBatch::from(received);
-    for (const auto& name : names) {
-      const auto rule = make_rule(name);
-      const Vector legacy = rule->aggregate(received, ctx);
-      AggregationWorkspace ws(batch);
-      const Vector shared = rule->aggregate(batch, ws, ctx);
-      EXPECT_EQ(legacy, shared) << "rule " << name << " trial " << trial;
-    }
-  }
-}
+// --- rules: the workspace/batch precondition -------------------------------
 
 TEST(BatchRules, WorkspaceOverWrongBatchThrows) {
   Rng rng(40);
@@ -285,28 +262,14 @@ TEST(BatchRules, WorkspaceOverWrongBatchThrows) {
   AggregationContext ctx;
   ctx.n = 8;
   ctx.t = 2;
-  // GEOMED dispatches through the base adapter; KRUM through its own batch
-  // override — both must enforce the workspace/batch precondition.
-  EXPECT_THROW(make_rule("GEOMED")->aggregate(b, ws, ctx),
-               std::invalid_argument);
-  EXPECT_THROW(make_rule("KRUM")->aggregate(b, ws, ctx),
-               std::invalid_argument);
-}
-
-TEST(BatchRules, RoundFunctionBatchStepMatchesLegacyStep) {
-  Rng rng(41);
-  AggregationContext ctx;
-  ctx.n = 9;
-  ctx.t = 2;
-  const VectorList received = random_points(rng, 9, 12);
-  const Vector current = random_points(rng, 1, 12).front();
-  const GradientBatch batch = GradientBatch::from(received);
-  for (const auto& name : {"KRUM", "MD-GEOM", "CW-MEDIAN", "MD-GEOM-STICKY"}) {
-    const auto round = make_round_function(name);
-    AggregationWorkspace ws(batch);
-    EXPECT_EQ(round->step(batch, ws, current, ctx),
-              round->step(received, current, ctx))
-        << "round function " << name;
+  // The check lives in the non-virtual entry point, so every rule enforces
+  // it — distance-based or not.
+  std::vector<std::string> names = all_rule_names();
+  for (const auto& extra : extended_rule_names()) names.push_back(extra);
+  for (const auto& name : names) {
+    EXPECT_THROW(make_rule(name)->aggregate(b, ws, ctx),
+                 std::invalid_argument)
+        << "rule " << name;
   }
 }
 

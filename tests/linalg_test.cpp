@@ -208,14 +208,15 @@ TEST(Stats, CoordinatewiseTrimmedMean) {
 TEST(Stats, TrimmedHyperboxMatchesDefinition25) {
   // m = 5 received, keep = n - t = 4 -> drop 1 per side:
   // sorted {0,1,2,3,10} -> [1, 3].
-  const VectorList vs{{3.0}, {0.0}, {10.0}, {1.0}, {2.0}};
+  const GradientBatch vs =
+      GradientBatch::from({{3.0}, {0.0}, {10.0}, {1.0}, {2.0}});
   const Hyperbox th = trimmed_hyperbox(vs, 4);
   EXPECT_DOUBLE_EQ(th.lo()[0], 1.0);
   EXPECT_DOUBLE_EQ(th.hi()[0], 3.0);
 }
 
 TEST(Stats, TrimmedHyperboxNoTrimWhenAllKept) {
-  const VectorList vs{{1.0, 5.0}, {3.0, 4.0}};
+  const GradientBatch vs = GradientBatch::from({{1.0, 5.0}, {3.0, 4.0}});
   const Hyperbox th = trimmed_hyperbox(vs, 2);
   EXPECT_EQ(th.lo(), (Vector{1.0, 4.0}));
   EXPECT_EQ(th.hi(), (Vector{3.0, 5.0}));
@@ -223,7 +224,8 @@ TEST(Stats, TrimmedHyperboxNoTrimWhenAllKept) {
 
 TEST(Stats, TrimmedHyperboxPerCoordinateIndependence) {
   // The trimming happens per coordinate: an outlier in x only affects x.
-  const VectorList vs{{0.0, 0.0}, {1.0, 1.0}, {2.0, 2.0}, {100.0, 3.0}};
+  const GradientBatch vs = GradientBatch::from(
+      {{0.0, 0.0}, {1.0, 1.0}, {2.0, 2.0}, {100.0, 3.0}});
   const Hyperbox th = trimmed_hyperbox(vs, 3);
   EXPECT_DOUBLE_EQ(th.hi()[0], 2.0);   // 100 trimmed
   EXPECT_DOUBLE_EQ(th.hi()[1], 2.0);   // 3 trimmed (largest in y)
@@ -232,7 +234,7 @@ TEST(Stats, TrimmedHyperboxPerCoordinateIndependence) {
 }
 
 TEST(Stats, TrimmedHyperboxRejectsOverTrimming) {
-  const VectorList vs{{0.0}, {1.0}, {2.0}, {3.0}};
+  const GradientBatch vs = GradientBatch::from({{0.0}, {1.0}, {2.0}, {3.0}});
   // keep = 2, drop = 2 per side -> lower index 2 > upper index 1: invalid.
   EXPECT_THROW(trimmed_hyperbox(vs, 2), std::invalid_argument);
   EXPECT_THROW(trimmed_hyperbox(vs, 0), std::invalid_argument);
@@ -307,8 +309,9 @@ TEST_P(HyperboxPropertyTest, TrimmedHyperboxShrinksWithMoreTrimming) {
     points.push_back(p);
   }
   // keep = 8 trims 1/side; keep = 7 trims 2/side; nested containment.
-  const Hyperbox outer = trimmed_hyperbox(points, 8);
-  const Hyperbox inner = trimmed_hyperbox(points, 7);
+  const GradientBatch batch = GradientBatch::from(points);
+  const Hyperbox outer = trimmed_hyperbox(batch, 8);
+  const Hyperbox inner = trimmed_hyperbox(batch, 7);
   EXPECT_TRUE(outer.contains_box(inner, 1e-12));
   EXPECT_TRUE(Hyperbox::bounding(points).contains_box(outer, 1e-12));
 }
