@@ -104,7 +104,8 @@ Cell run_cell(std::size_t m, std::size_t dim, std::size_t subrounds,
 
   const auto t0 = std::chrono::steady_clock::now();
   const AgreementResult result =
-      run_fixed_rounds_agreement(inputs, adversary, subrounds, cfg);
+      run_fixed_rounds_agreement(GradientBatch::from(inputs), adversary,
+                                 subrounds, cfg);
   const auto t1 = std::chrono::steady_clock::now();
 
   Cell cell;

@@ -65,7 +65,7 @@ void BM_MinDiameterSubset(benchmark::State& state) {
   const VectorList pts = cloud(n, 8, 9);
   const std::size_t k = n - n / 5;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(min_diameter_subset(pts, k));
+    benchmark::DoNotOptimize(min_diameter_subset(DistanceMatrix(pts), k));
   }
 }
 BENCHMARK(BM_MinDiameterSubset)->DenseRange(10, 20, 5);

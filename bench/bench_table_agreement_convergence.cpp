@@ -62,7 +62,8 @@ int main(int argc, char** argv) {
       cfg.round_function = make_round_function(rule);
       cfg.epsilon = 0.0;
       const auto result =
-          run_fixed_rounds_agreement(inputs, *adversary, rounds, cfg);
+          run_fixed_rounds_agreement(GradientBatch::from(inputs), *adversary,
+                                     rounds, cfg);
       const double e0 = result.trace.honest_max_edge.front();
       for (std::size_t r = 0; r < result.trace.honest_max_edge.size(); ++r) {
         emax_table.new_row()
@@ -87,7 +88,8 @@ int main(int argc, char** argv) {
     cfg.round_function = make_round_function("BOX-GEOM");
     cfg.epsilon = eps;
     cfg.max_rounds = 200;
-    const auto result = run_approximate_agreement(inputs, adversary, cfg);
+    const auto result = run_approximate_agreement(GradientBatch::from(inputs),
+                                                  adversary, cfg);
     const double d0 = result.trace.honest_diameter.front();
     eps_table.new_row()
         .add(format_double(eps, 6))
@@ -111,10 +113,12 @@ int main(int argc, char** argv) {
     cfg.epsilon = 0.0;
     cfg.round_function = make_round_function("MD-GEOM-STICKY");
     const auto md =
-        run_fixed_rounds_agreement(split_inputs, adv_md, rounds, cfg);
+        run_fixed_rounds_agreement(GradientBatch::from(split_inputs), adv_md,
+                                   rounds, cfg);
     cfg.round_function = make_round_function("BOX-GEOM");
     const auto box =
-        run_fixed_rounds_agreement(split_inputs, adv_box, rounds, cfg);
+        run_fixed_rounds_agreement(GradientBatch::from(split_inputs), adv_box,
+                                   rounds, cfg);
     for (std::size_t r = 0; r < md.trace.honest_diameter.size(); ++r) {
       stuck.new_row()
           .add_int(static_cast<long long>(r))

@@ -42,7 +42,8 @@ int main(int argc, char** argv) {
     cfg.t = t;
     cfg.round_function = make_round_function(fn_name);
     cfg.epsilon = 0.0;  // run all rounds; we want the full trace
-    return run_fixed_rounds_agreement(inputs, adversary, rounds, cfg);
+    return run_fixed_rounds_agreement(GradientBatch::from(inputs), adversary,
+                                      rounds, cfg);
   };
 
   std::cout << "=== BOX-GEOM vs MD-GEOM under a sign-flip adversary ===\n";
@@ -73,9 +74,10 @@ int main(int argc, char** argv) {
     cfg.t = 2;
     cfg.epsilon = 0.0;
     cfg.round_function = make_round_function("BOX-GEOM");
-    const auto box = run_fixed_rounds_agreement(split_inputs, adv_a, rounds, cfg);
+    const GradientBatch split = GradientBatch::from(split_inputs);
+    const auto box = run_fixed_rounds_agreement(split, adv_a, rounds, cfg);
     cfg.round_function = make_round_function("MD-GEOM-STICKY");
-    const auto md = run_fixed_rounds_agreement(split_inputs, adv_b, rounds, cfg);
+    const auto md = run_fixed_rounds_agreement(split, adv_b, rounds, cfg);
     Table table({"round", "BOX-GEOM diameter", "MD-GEOM diameter (stuck)"});
     for (std::size_t r = 0; r < box.trace.honest_diameter.size(); ++r) {
       table.new_row()

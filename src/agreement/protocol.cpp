@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "faults/fault_plan.hpp"
 #include "linalg/distance_matrix.hpp"
 #include "linalg/hyperbox.hpp"
 #include "linalg/workspace.hpp"
@@ -218,20 +219,12 @@ class AgreementNode final : public HonestProcess {
   mutable std::size_t wire_bytes_ = 0;
 };
 
-VectorList honest_vectors(const std::vector<std::unique_ptr<AgreementNode>>& nodes) {
-  VectorList out;
-  for (const auto& node : nodes) {
-    if (node) out.push_back(node->current());
-  }
-  return out;
-}
-
-AgreementResult run_impl(const VectorList& inputs, Adversary& adversary,
+AgreementResult run_impl(const GradientBatch& inputs, Adversary& adversary,
                          const AgreementConfig& config, bool fixed,
                          std::size_t fixed_rounds) {
-  if (config.n == 0 || config.n != inputs.size()) {
+  if (config.n == 0 || config.n != inputs.rows()) {
     throw std::invalid_argument(
-        "run_approximate_agreement: inputs.size() must equal config.n");
+        "run_approximate_agreement: inputs.rows() must equal config.n");
   }
   if (!config.round_function) {
     throw std::invalid_argument("run_approximate_agreement: no round function");
@@ -259,7 +252,7 @@ AgreementResult run_impl(const VectorList& inputs, Adversary& adversary,
       const std::size_t input_wire = i < config.input_wire_bytes.size()
                                          ? config.input_wire_bytes[i]
                                          : HonestProcess::kDenseWire;
-      nodes[i] = std::make_unique<AgreementNode>(i, inputs[i],
+      nodes[i] = std::make_unique<AgreementNode>(i, inputs.row_copy(i),
                                                  config.round_function, ctx,
                                                  config.codec,
                                                  config.codec_seed,
@@ -305,8 +298,21 @@ AgreementResult run_impl(const VectorList& inputs, Adversary& adversary,
     if (nodes[i]) result.honest_ids.push_back(i);
   }
 
+  // The trace measures the honest nodes up in the frozen plan round: a
+  // down node never receives, so its vector is its untouched input.
   auto record_trace = [&] {
-    const VectorList current = honest_vectors(nodes);
+    VectorList current;
+    for (const std::size_t i : result.honest_ids) {
+      if (config.faults == nullptr ||
+          config.faults->alive(i, config.fault_round)) {
+        current.push_back(nodes[i]->current());
+      }
+    }
+    if (current.empty()) {
+      result.trace.honest_diameter.push_back(0.0);
+      result.trace.honest_max_edge.push_back(0.0);
+      return;
+    }
     // The convergence check is itself a pairwise-distance computation;
     // build it through the Gram-trick kernel over a contiguous copy
     // (pool-parallel when configured).
@@ -336,7 +342,9 @@ AgreementResult run_impl(const VectorList& inputs, Adversary& adversary,
     result.converged = true;
   }
 
-  result.outputs = honest_vectors(nodes);
+  for (const std::size_t i : result.honest_ids) {
+    result.outputs.push_back(nodes[i]->current());
+  }
   result.network = network.stats();
   result.sharing.gram_builds = cache.builds();
   result.sharing.shared_hits = cache.hits();
@@ -350,13 +358,13 @@ AgreementResult run_impl(const VectorList& inputs, Adversary& adversary,
 
 }  // namespace
 
-AgreementResult run_approximate_agreement(const VectorList& inputs,
+AgreementResult run_approximate_agreement(const GradientBatch& inputs,
                                           Adversary& adversary,
                                           const AgreementConfig& config) {
   return run_impl(inputs, adversary, config, /*fixed=*/false, 0);
 }
 
-AgreementResult run_fixed_rounds_agreement(const VectorList& inputs,
+AgreementResult run_fixed_rounds_agreement(const GradientBatch& inputs,
                                            Adversary& adversary,
                                            std::size_t rounds,
                                            const AgreementConfig& config) {

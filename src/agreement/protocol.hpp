@@ -15,6 +15,7 @@
 
 #include "agreement/round_function.hpp"
 #include "compression/codec.hpp"
+#include "linalg/gradient_batch.hpp"
 #include "network/adversary.hpp"
 #include "network/delay_model.hpp"
 #include "network/event_network.hpp"
@@ -90,12 +91,18 @@ struct AgreementConfig {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-/// Per-round convergence trace.
+/// Per-round convergence trace.  Measured over the honest nodes that are
+/// up in the instance's frozen FaultPlan round (every honest node without
+/// a plan): a down node never receives, so its vector is its untouched
+/// input and says nothing about agreement.  When fewer than n - t nodes
+/// are up, the live nodes skip their updates, and the trace reports their
+/// real, unreduced spread.  0 when no honest node is up.
 struct AgreementTrace {
-  /// Diameter of the honest vector set at the start of each round
+  /// Diameter of the live honest vectors at the start of each round
   /// (index 0 = inputs).
   std::vector<double> honest_diameter;
-  /// E_max of the bounding box of honest vectors at the start of each round.
+  /// E_max of the bounding box of the live honest vectors at the start of
+  /// each round.
   std::vector<double> honest_max_edge;
   /// Simulated duration of each executed round (empty index 0 offset:
   /// entry r is the latency of round r).  All zeros under the sync model.
@@ -126,18 +133,20 @@ struct AgreementResult {
   SharingStats sharing;
 };
 
-/// Runs approximate agreement.  `inputs[i]` is the input vector of node i;
-/// entries at Byzantine ids (per the adversary) are ignored.  Throws if the
-/// adversary controls more than t ids or if fewer than n - t honest nodes
-/// remain.
-AgreementResult run_approximate_agreement(const VectorList& inputs,
+/// Runs approximate agreement.  Row i of `inputs` (n rows, owned or a
+/// view) is the input vector of node i; each honest node copies its row
+/// at start, and rows at Byzantine ids (per the adversary) are never read.
+/// The decentralized trainer passes its round gradient block as is;
+/// callers holding a VectorList wrap it with GradientBatch::from.  Throws
+/// if inputs.rows() != n or the adversary controls more than t ids.
+AgreementResult run_approximate_agreement(const GradientBatch& inputs,
                                           Adversary& adversary,
                                           const AgreementConfig& config);
 
 /// Same protocol but always runs exactly `rounds` rounds (the decentralized
 /// learning schedule of the paper uses ceil(log2 t) sub-rounds per learning
 /// iteration instead of an epsilon test).
-AgreementResult run_fixed_rounds_agreement(const VectorList& inputs,
+AgreementResult run_fixed_rounds_agreement(const GradientBatch& inputs,
                                            Adversary& adversary,
                                            std::size_t rounds,
                                            const AgreementConfig& config);

@@ -7,13 +7,13 @@
 namespace bcl {
 
 std::optional<Vector> SignFlipAttack::corrupt(
-    const Vector& own_gradient, const VectorList& /*honest_gradients*/,
+    const Vector& own_gradient, const GradientBatch& /*honest*/,
     std::size_t /*round*/, Rng& /*rng*/) const {
   return scale(own_gradient, -scale_);
 }
 
 std::optional<Vector> CrashAttack::corrupt(const Vector& own_gradient,
-                                           const VectorList& /*honest*/,
+                                           const GradientBatch& /*honest*/,
                                            std::size_t round,
                                            Rng& /*rng*/) const {
   if (round >= from_round_) return std::nullopt;
@@ -21,7 +21,7 @@ std::optional<Vector> CrashAttack::corrupt(const Vector& own_gradient,
 }
 
 std::optional<Vector> RandomGradientAttack::corrupt(
-    const Vector& own_gradient, const VectorList& /*honest*/,
+    const Vector& own_gradient, const GradientBatch& /*honest*/,
     std::size_t /*round*/, Rng& rng) const {
   Vector out(own_gradient.size());
   for (double& x : out) x = rng.gaussian(0.0, sigma_);
@@ -29,49 +29,50 @@ std::optional<Vector> RandomGradientAttack::corrupt(
 }
 
 std::optional<Vector> ScaleAttack::corrupt(const Vector& own_gradient,
-                                           const VectorList& /*honest*/,
+                                           const GradientBatch& /*honest*/,
                                            std::size_t /*round*/,
                                            Rng& /*rng*/) const {
   return scale(own_gradient, factor_);
 }
 
 std::optional<Vector> ZeroAttack::corrupt(const Vector& own_gradient,
-                                          const VectorList& /*honest*/,
+                                          const GradientBatch& /*honest*/,
                                           std::size_t /*round*/,
                                           Rng& /*rng*/) const {
   return zeros(own_gradient.size());
 }
 
 std::optional<Vector> OppositeMeanAttack::corrupt(
-    const Vector& own_gradient, const VectorList& honest_gradients,
+    const Vector& own_gradient, const GradientBatch& honest,
     std::size_t /*round*/, Rng& /*rng*/) const {
-  if (honest_gradients.empty()) return scale(own_gradient, -scale_);
-  return scale(mean(honest_gradients), -scale_);
+  if (honest.empty()) return scale(own_gradient, -scale_);
+  return scale(mean(honest), -scale_);
 }
 
 std::optional<Vector> StaleStrikeAttack::corrupt(
-    const Vector& own_gradient, const VectorList& honest_gradients,
+    const Vector& own_gradient, const GradientBatch& honest,
     std::size_t /*round*/, Rng& /*rng*/) const {
   // Strike only into thin cohorts when a threshold is set; blending in
   // with an honest-looking gradient otherwise keeps the attacker under
   // the radar of history-free defences.
-  if (cohort_ > 0 && honest_gradients.size() > cohort_) return own_gradient;
-  if (honest_gradients.empty()) return scale(own_gradient, -scale_);
-  return scale(mean(honest_gradients), -scale_);
+  if (cohort_ > 0 && honest.rows() > cohort_) return own_gradient;
+  if (honest.empty()) return scale(own_gradient, -scale_);
+  return scale(mean(honest), -scale_);
 }
 
 std::optional<Vector> ALittleIsEnoughAttack::corrupt(
-    const Vector& own_gradient, const VectorList& honest_gradients,
+    const Vector& own_gradient, const GradientBatch& honest,
     std::size_t /*round*/, Rng& /*rng*/) const {
-  if (honest_gradients.empty()) return own_gradient;
+  if (honest.empty()) return own_gradient;
   const std::size_t d = own_gradient.size();
-  const Vector mu = mean(honest_gradients);
+  const Vector mu = mean(honest);
   Vector out(d);
-  const double inv = 1.0 / static_cast<double>(honest_gradients.size());
+  const double inv = 1.0 / static_cast<double>(honest.rows());
   for (std::size_t k = 0; k < d; ++k) {
     double var = 0.0;
-    for (const auto& g : honest_gradients) {
-      var += (g[k] - mu[k]) * (g[k] - mu[k]);
+    for (std::size_t i = 0; i < honest.rows(); ++i) {
+      const double g = honest.row(i)[k];
+      var += (g - mu[k]) * (g - mu[k]);
     }
     out[k] = mu[k] + z_ * std::sqrt(var * inv);
   }
@@ -79,19 +80,23 @@ std::optional<Vector> ALittleIsEnoughAttack::corrupt(
 }
 
 std::optional<Vector> MimicAttack::corrupt(const Vector& own_gradient,
-                                           const VectorList& honest_gradients,
+                                           const GradientBatch& honest,
                                            std::size_t /*round*/,
                                            Rng& /*rng*/) const {
-  if (honest_gradients.empty()) return own_gradient;
-  const std::size_t idx = std::min(target_, honest_gradients.size() - 1);
-  return honest_gradients[idx];
+  if (honest.empty()) return own_gradient;
+  const std::size_t idx = std::min(target_, honest.rows() - 1);
+  return honest.row_copy(idx);
 }
 
 std::optional<Vector> MinMaxAttack::corrupt(const Vector& own_gradient,
-                                            const VectorList& honest_gradients,
+                                            const GradientBatch& honest,
                                             std::size_t /*round*/,
                                             Rng& /*rng*/) const {
-  if (honest_gradients.empty()) return scale(own_gradient, -1.0);
+  if (honest.empty()) return scale(own_gradient, -1.0);
+  // The per-pair diameter/distance below are the exact kernels the budget
+  // is defined by (a Gram-trick diameter would move bits), and they speak
+  // VectorList: one copy of the honest rows serves the whole search.
+  const VectorList honest_gradients = honest.to_vectors();
   const Vector mu = mean(honest_gradients);
   const double mu_norm = norm2(mu);
   if (mu_norm == 0.0) return mu;  // no descent direction to oppose
@@ -129,14 +134,14 @@ std::optional<Vector> MinMaxAttack::corrupt(const Vector& own_gradient,
 }
 
 std::optional<Vector> LabelFlipAttack::corrupt(const Vector& own_gradient,
-                                               const VectorList& /*honest*/,
+                                               const GradientBatch& /*honest*/,
                                                std::size_t /*round*/,
                                                Rng& /*rng*/) const {
   return own_gradient;
 }
 
 std::optional<Vector> NoAttack::corrupt(const Vector& own_gradient,
-                                        const VectorList& /*honest*/,
+                                        const GradientBatch& /*honest*/,
                                         std::size_t /*round*/,
                                         Rng& /*rng*/) const {
   return own_gradient;

@@ -5,7 +5,10 @@
 // in a learning round.  Per the standard omniscient threat model, the
 // attacker sees (a) the gradient the client would have submitted if honest
 // (computed on its real local shard) and (b) every honest submission of the
-// round, before the aggregation rule runs.  Byzantine clients may collude:
+// round, before the aggregation rule runs.  The honest submissions arrive
+// as the round's GradientBatch rows — typically a borrowed view over the
+// trainer's gradient block (GradientBatch::view), so no per-round copy is
+// made for an attack that never reads them.  Byzantine clients may collude:
 // in both trainers every Byzantine client shares one GradientAttack
 // instance, so "all attackers submit the same crafted vector" is the
 // default collusion mode.  Attacks must not mutate shared state in
@@ -26,6 +29,7 @@
 #include <optional>
 #include <string>
 
+#include "linalg/gradient_batch.hpp"
 #include "linalg/vector_ops.hpp"
 #include "ml/dataset.hpp"
 #include "util/rng.hpp"
@@ -47,13 +51,17 @@ class GradientAttack {
 
   /// The vector the Byzantine client submits this round; nullopt = silent
   /// (crash / omitted broadcast).  `own_gradient` is the gradient the
-  /// client would have submitted if honest; `honest_gradients` are the
-  /// actual honest submissions of the round (may be empty when the caller
-  /// has no honest view, e.g. unit tests — attacks must degrade gracefully
-  /// to a function of own_gradient).  Must be deterministic given
-  /// (arguments, rng state) and must not retain references to them.
+  /// client would have submitted if honest; the rows of `honest` are the
+  /// actual honest submissions of the round, in client-id order (may be
+  /// empty when the caller has no honest view, e.g. unit tests — attacks
+  /// must degrade gracefully to a function of own_gradient).  `honest` may
+  /// be a borrowed view whose rows are valid only for the duration of the
+  /// call: read it through rows()/row()/row_copy()/mean()/to_vectors() and
+  /// never keep it.  Must be deterministic given (arguments, rng state);
+  /// an owned batch and a view over the same rows give bitwise-equal
+  /// results.
   virtual std::optional<Vector> corrupt(const Vector& own_gradient,
-                                        const VectorList& honest_gradients,
+                                        const GradientBatch& honest,
                                         std::size_t round, Rng& rng) const = 0;
 
   /// True if this behaviour corrupts the Byzantine clients' *data* rather
@@ -87,7 +95,7 @@ class SignFlipAttack final : public GradientAttack {
   explicit SignFlipAttack(double attack_scale = 1.0) : scale_(attack_scale) {}
   std::string name() const override { return "sign-flip"; }
   std::optional<Vector> corrupt(const Vector& own_gradient,
-                                const VectorList& honest_gradients,
+                                const GradientBatch& honest,
                                 std::size_t round, Rng& rng) const override;
 
  private:
@@ -101,7 +109,7 @@ class CrashAttack final : public GradientAttack {
   explicit CrashAttack(std::size_t from_round = 0) : from_round_(from_round) {}
   std::string name() const override { return "crash"; }
   std::optional<Vector> corrupt(const Vector& own_gradient,
-                                const VectorList& honest_gradients,
+                                const GradientBatch& honest,
                                 std::size_t round, Rng& rng) const override;
 
  private:
@@ -115,7 +123,7 @@ class RandomGradientAttack final : public GradientAttack {
   explicit RandomGradientAttack(double sigma = 1.0) : sigma_(sigma) {}
   std::string name() const override { return "random"; }
   std::optional<Vector> corrupt(const Vector& own_gradient,
-                                const VectorList& honest_gradients,
+                                const GradientBatch& honest,
                                 std::size_t round, Rng& rng) const override;
 
  private:
@@ -128,7 +136,7 @@ class ScaleAttack final : public GradientAttack {
   explicit ScaleAttack(double factor = 100.0) : factor_(factor) {}
   std::string name() const override { return "scale"; }
   std::optional<Vector> corrupt(const Vector& own_gradient,
-                                const VectorList& honest_gradients,
+                                const GradientBatch& honest,
                                 std::size_t round, Rng& rng) const override;
 
  private:
@@ -140,7 +148,7 @@ class ZeroAttack final : public GradientAttack {
  public:
   std::string name() const override { return "zero"; }
   std::optional<Vector> corrupt(const Vector& own_gradient,
-                                const VectorList& honest_gradients,
+                                const GradientBatch& honest,
                                 std::size_t round, Rng& rng) const override;
 };
 
@@ -153,7 +161,7 @@ class OppositeMeanAttack : public GradientAttack {
       : scale_(attack_scale) {}
   std::string name() const override { return "opposite-mean"; }
   std::optional<Vector> corrupt(const Vector& own_gradient,
-                                const VectorList& honest_gradients,
+                                const GradientBatch& honest,
                                 std::size_t round, Rng& rng) const override;
 
  private:
@@ -175,7 +183,7 @@ class StaleStrikeAttack final : public GradientAttack {
       : scale_(attack_scale), cohort_(cohort) {}
   std::string name() const override { return "stale-strike"; }
   std::optional<Vector> corrupt(const Vector& own_gradient,
-                                const VectorList& honest_gradients,
+                                const GradientBatch& honest,
                                 std::size_t round, Rng& rng) const override;
   std::size_t submit_staleness(std::size_t round,
                                std::size_t tau) const override {
@@ -196,7 +204,7 @@ class ALittleIsEnoughAttack final : public GradientAttack {
   explicit ALittleIsEnoughAttack(double z = 1.5) : z_(z) {}
   std::string name() const override { return "alie"; }
   std::optional<Vector> corrupt(const Vector& own_gradient,
-                                const VectorList& honest_gradients,
+                                const GradientBatch& honest,
                                 std::size_t round, Rng& rng) const override;
 
  private:
@@ -227,7 +235,7 @@ class MimicAttack final : public GradientAttack {
   explicit MimicAttack(std::size_t target = 0) : target_(target) {}
   std::string name() const override { return "mimic"; }
   std::optional<Vector> corrupt(const Vector& own_gradient,
-                                const VectorList& honest_gradients,
+                                const GradientBatch& honest,
                                 std::size_t round, Rng& rng) const override;
 
  private:
@@ -244,7 +252,7 @@ class MinMaxAttack final : public GradientAttack {
  public:
   std::string name() const override { return "min-max"; }
   std::optional<Vector> corrupt(const Vector& own_gradient,
-                                const VectorList& honest_gradients,
+                                const GradientBatch& honest,
                                 std::size_t round, Rng& rng) const override;
 };
 
@@ -258,7 +266,7 @@ class LabelFlipAttack final : public GradientAttack {
   std::string name() const override { return "label-flip"; }
   bool poisons_labels() const override { return true; }
   std::optional<Vector> corrupt(const Vector& own_gradient,
-                                const VectorList& honest_gradients,
+                                const GradientBatch& honest,
                                 std::size_t round, Rng& rng) const override;
 };
 
@@ -267,7 +275,7 @@ class NoAttack final : public GradientAttack {
  public:
   std::string name() const override { return "none"; }
   std::optional<Vector> corrupt(const Vector& own_gradient,
-                                const VectorList& honest_gradients,
+                                const GradientBatch& honest,
                                 std::size_t round, Rng& rng) const override;
 };
 

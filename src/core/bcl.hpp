@@ -70,7 +70,6 @@
 #include "network/delay_model.hpp"
 #include "network/event_network.hpp"
 #include "network/message.hpp"
-#include "network/sync_network.hpp"
 #include "util/cli.hpp"
 #include "util/logging.hpp"
 #include "util/parse.hpp"

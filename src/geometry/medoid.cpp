@@ -36,16 +36,4 @@ std::size_t medoid_index(const DistanceMatrix& dist) {
   return best;
 }
 
-std::size_t medoid_index(const VectorList& points) {
-  if (points.empty()) throw std::invalid_argument("medoid of empty list");
-  check_same_dimension(points);
-  // Build the shared matrix once: each pair is measured a single time
-  // instead of twice (score(i) and score(j) both touching d(i, j)).
-  return medoid_index(DistanceMatrix(points));
-}
-
-Vector medoid(const VectorList& points) {
-  return points[medoid_index(points)];
-}
-
 }  // namespace bcl

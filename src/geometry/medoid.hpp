@@ -3,10 +3,9 @@
 // other input points.  Used by the Krum family (Section 2.2) and by the
 // medoid aggregation rule of El-Mhamdi et al.
 //
-// Both entry points exist in two forms: the legacy VectorList form, which
-// computes the distances it needs on the fly, and a DistanceMatrix form for
-// callers that already paid for the shared pairwise matrix (one inbox, many
-// rules).  The two produce bitwise-identical results.
+// The medoid is selected over a DistanceMatrix: callers have already paid
+// for the shared pairwise matrix (one inbox, many rules).  The VectorList
+// score measures its distances directly and is the tests' reference.
 
 #include <cstddef>
 
@@ -15,15 +14,9 @@
 
 namespace bcl {
 
-/// Index of the medoid of a non-empty list (ties broken by lowest index).
-std::size_t medoid_index(const VectorList& points);
-
 /// Medoid index from a precomputed distance matrix (ties broken by lowest
 /// index).  Throws std::invalid_argument on an empty matrix.
 std::size_t medoid_index(const DistanceMatrix& dist);
-
-/// The medoid point itself.
-Vector medoid(const VectorList& points);
 
 /// Sum of distances from points[i] to every other point.
 double medoid_score(const VectorList& points, std::size_t i);

@@ -100,13 +100,6 @@ MinDiameterResult min_diameter_subset(const DistanceMatrix& dist,
   return out;
 }
 
-MinDiameterResult min_diameter_subset(const VectorList& points,
-                                      std::size_t k) {
-  check_subset_size(k, points.size());
-  check_same_dimension(points);
-  return min_diameter_subset(DistanceMatrix(points), k);
-}
-
 std::vector<MinDiameterResult> min_diameter_subsets(const DistanceMatrix& dist,
                                                     std::size_t k,
                                                     double rel_tol) {
@@ -118,16 +111,6 @@ std::vector<MinDiameterResult> min_diameter_subsets(const DistanceMatrix& dist,
                      out.push_back(MinDiameterResult{indices, diam});
                    });
   return out;
-}
-
-std::vector<MinDiameterResult> min_diameter_subsets(const VectorList& points,
-                                                    std::size_t k,
-                                                    double rel_tol) {
-  check_subset_size(k, points.size());
-  check_same_dimension(points);
-  // One matrix now serves both the optimum search and the tie enumeration
-  // (the legacy code built the full distance set twice).
-  return min_diameter_subsets(DistanceMatrix(points), k, rel_tol);
 }
 
 }  // namespace bcl

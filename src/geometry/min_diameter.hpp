@@ -7,8 +7,7 @@
 // fast for the paper's parameter regime (m <= ~20).
 //
 // The search itself only consumes pairwise distances, so both entry points
-// also accept a precomputed DistanceMatrix; the VectorList forms build the
-// matrix internally and delegate.  Sharing one matrix across the optimum
+// take a precomputed DistanceMatrix.  Sharing one matrix across the optimum
 // search, the tie enumeration, and any other rule in the round removes the
 // repeated O(m^2 * d) recomputation that used to dominate.
 
@@ -16,7 +15,6 @@
 #include <vector>
 
 #include "linalg/distance_matrix.hpp"
-#include "linalg/vector_ops.hpp"
 
 namespace bcl {
 
@@ -27,12 +25,10 @@ struct MinDiameterResult {
   double diameter = 0.0;
 };
 
-/// Finds one subset of size k with minimum diameter among points.
-/// Ties are resolved toward the lexicographically smallest index set.
-/// Throws if k == 0 or k > points.size().
-MinDiameterResult min_diameter_subset(const VectorList& points, std::size_t k);
-
-/// Same search over a precomputed pairwise distance matrix.
+/// Finds one subset of size k with minimum diameter among the points of
+/// a pairwise distance matrix.  Ties are resolved toward the
+/// lexicographically smallest index set.  Throws if k == 0 or
+/// k > dist.size().
 MinDiameterResult min_diameter_subset(const DistanceMatrix& dist,
                                       std::size_t k);
 
@@ -40,11 +36,6 @@ MinDiameterResult min_diameter_subset(const DistanceMatrix& dist,
 /// minimum.  "Such a set is not unique" (Definition 3.4) — Lemma 4.2's
 /// adversary exploits exactly this freedom, so protocols that want a
 /// specific tie-breaking enumerate the tied sets with this helper.
-std::vector<MinDiameterResult> min_diameter_subsets(const VectorList& points,
-                                                    std::size_t k,
-                                                    double rel_tol = 1e-12);
-
-/// Tie enumeration over a precomputed pairwise distance matrix.
 std::vector<MinDiameterResult> min_diameter_subsets(const DistanceMatrix& dist,
                                                     std::size_t k,
                                                     double rel_tol = 1e-12);

@@ -140,6 +140,7 @@ TrainingResult CentralizedTrainer::run() {
   std::vector<Upload> arrivals;
   std::vector<Start> starters;
   GradientBatch inbox(members_per_round, dim);
+  std::vector<const double*> honest_table;  // the attack's view rows
 
   TrainingResult result;
   result.history.reserve(config_.rounds);
@@ -256,18 +257,20 @@ TrainingResult CentralizedTrainer::run() {
     if (honest_rows > 0) honest_loss /= static_cast<double>(honest_rows);
 
     // Byzantine submissions, rushing within the round: the attack sees
-    // every honest gradient accepted this round.  With a codec the
-    // adversary speaks the wire format too (no error feedback — it is not
-    // trying to converge).  Silent rounds put nothing on the wire and are
-    // compacted out of the inbox.
+    // every honest gradient accepted this round, through a view over the
+    // inbox's honest prefix (the Byzantine rows written below lie past
+    // it).  With a codec the adversary speaks the wire format too (no
+    // error feedback — it is not trying to converge).  Silent rounds put
+    // nothing on the wire and are compacted out of the inbox.
     std::size_t rows = honest_rows;
     if (arrivals.size() > honest_rows) {
       BCL_TRACE_SPAN("attack.corrupt");
-      VectorList honest;
-      honest.reserve(honest_rows);
+      honest_table.clear();
       for (std::size_t r = 0; r < honest_rows; ++r) {
-        honest.push_back(inbox.row_copy(r));
+        honest_table.push_back(inbox.row(r));
       }
+      const GradientBatch honest =
+          GradientBatch::view(honest_table.data(), honest_rows, dim);
       for (std::size_t a = honest_rows; a < arrivals.size(); ++a) {
         Upload& upload = arrivals[a];
         auto corrupted = config_.attack->corrupt(

@@ -71,14 +71,11 @@ TrainingResult DecentralizedTrainer::run() {
   // Liveness schedule (faults= dimension).  Membership is frozen per
   // learning round: every agreement sub-round of round r runs against the
   // plan's round-r live set (AgreementConfig::fault_round), and the plan
-  // advances between learning rounds.  An empty plan keeps agreement.faults
-  // null and every path below bitwise-identical to the pre-fault trainer.
+  // advances between learning rounds.  A fault-free plan keeps everyone up
+  // (alive() true, slowdown 1, live_count n), so every fault branch below
+  // and in the engine is an exact no-op.
   const FaultPlan plan(config_.faults, n, config_.rounds, config_.seed);
-  const bool faulty = config_.faults.any();
-  if (faulty) agreement.faults = &plan;
-  auto live = [&](std::size_t i, std::size_t round) {
-    return !faulty || plan.alive(i, round);
-  };
+  agreement.faults = &plan;
 
   std::vector<std::size_t> byzantine_ids;
   for (std::size_t i = n - f; i < n; ++i) byzantine_ids.push_back(i);
@@ -95,29 +92,24 @@ TrainingResult DecentralizedTrainer::run() {
   ErrorFeedback error_feedback(honest_count);
 
   // One contiguous gradient batch per round (honest rows first); clients
-  // write their rows in place, and the spread metric runs the Gram kernel
-  // over the honest prefix without materializing per-client Vectors.
+  // write their rows in place, and row i is node i's agreement input as
+  // is (the engine never reads the Byzantine rows).  The live honest rows
+  // are lent to the spread metric and the attack through one row table.
   const std::size_t dim = setup.dim();
   GradientBatch gradients(n, dim);
   std::vector<double> losses(n, 0.0);
 
-  // The remaining per-round scratch, hoisted out of the loop: each buffer
-  // is refilled in place every round, so the O(n * d) allocations behind
-  // them happen once instead of config_.rounds times (assign/clear reuse
-  // the capacity left by earlier rounds).  inputs' Byzantine tail is
-  // written only here — the agreement engine substitutes the adversary's
-  // values without reading it — so the zeros survive across rounds.
+  // The remaining per-round scratch, hoisted out of the loop and refilled
+  // in place every round.
   std::vector<std::size_t> input_wire;
-  VectorList honest_gradients(honest_count);
-  VectorList live_view;
+  std::vector<const double*> live_rows;
   std::vector<std::optional<Vector>> byz_values(n);
-  VectorList inputs(n, zeros(dim));
   std::vector<double> accuracies(honest_count, 0.0);
 
   for (std::size_t round = 0; round < config_.rounds; ++round) {
     Stopwatch round_watch;
     BCL_TRACE_SPAN("round");
-    if (faulty) agreement.fault_round = round;
+    agreement.fault_round = round;
     // Phase 1: local stochastic gradients at each honest client's own
     // parameters (parallel; disjoint rows, one scratch model per lane).
     // Down clients compute nothing this round: their row is zeroed (the
@@ -126,7 +118,7 @@ TrainingResult DecentralizedTrainer::run() {
     {
       BCL_TRACE_SPAN("grad.compute");
       for_each_in_lanes(config_.pool, n, [&](std::size_t lane, std::size_t i) {
-        if (!live(i, round)) {
+        if (!plan.alive(i, round)) {
           losses[i] = 0.0;
           std::fill(gradients.row(i), gradients.row(i) + dim, 0.0);
           return;
@@ -136,36 +128,27 @@ TrainingResult DecentralizedTrainer::run() {
       });
     }
 
+    // The live honest gradients, in id order: down clients' zeroed rows
+    // would fake spread and are never broadcast, so neither the spread
+    // metric nor the attacker sees them.  The table holds row pointers,
+    // so the view built here before EF reads the lossy decodes after it.
     double honest_loss = 0.0;
-    std::size_t live_honest = 0;
+    live_rows.clear();
     for (std::size_t i = 0; i < honest_count; ++i) {
-      if (!live(i, round)) continue;
+      if (!plan.alive(i, round)) continue;
       honest_loss += losses[i];
-      ++live_honest;
+      live_rows.push_back(gradients.row(i));
     }
+    const std::size_t live_honest = live_rows.size();
     honest_loss = live_honest > 0
                       ? honest_loss / static_cast<double>(live_honest)
                       : 0.0;
+    const GradientBatch live_honest_rows =
+        GradientBatch::view(live_rows.data(), live_honest, dim);
     // Pairwise spread of the honest gradients entering agreement: the
-    // Gram-trick build over the batch's honest prefix (pool-parallel).
-    // Under faults the zeroed down rows would fake spread, so the live
-    // honest gradients are compacted first (faults=none keeps the
-    // in-place prefix path, bitwise).
-    double gradient_diameter = 0.0;
-    if (!faulty) {
-      gradient_diameter =
-          DistanceMatrix(gradients.row(0), honest_count, dim, config_.pool)
-              .diameter();
-    } else if (live_honest > 0) {
-      VectorList live_rows;
-      live_rows.reserve(live_honest);
-      for (std::size_t i = 0; i < honest_count; ++i) {
-        if (live(i, round)) live_rows.push_back(gradients.row_copy(i));
-      }
-      gradient_diameter =
-          DistanceMatrix(GradientBatch::from(live_rows), config_.pool)
-              .diameter();
-    }
+    // Gram-trick build over the live rows (pool-parallel).
+    const double gradient_diameter =
+        DistanceMatrix(live_honest_rows, config_.pool).diameter();
 
     // EF-compress the honest gradients in place: agreement (and the
     // attack, which observes wire traffic) runs on the lossy decodes.
@@ -182,7 +165,7 @@ TrainingResult DecentralizedTrainer::run() {
       for (std::size_t i = 0; i < honest_count; ++i) {
         // A down client keeps its EF residual untouched: it carries the
         // dropped mass forward to the round it recovers in.
-        if (!live(i, round)) continue;
+        if (!plan.alive(i, round)) continue;
         const CompressedGradient encoded = error_feedback.compress(
             *codec, config_.seed, i, round, gradients.row(i), dim);
         encoded.decode_into(gradients.row(i));
@@ -190,32 +173,17 @@ TrainingResult DecentralizedTrainer::run() {
       }
     }
 
-    // The attack interface and the agreement protocol speak VectorList, so
-    // the honest rows are materialized once per round for both.
-    for (std::size_t i = 0; i < honest_count; ++i) {
-      honest_gradients[i].assign(gradients.row(i), gradients.row(i) + dim);
-    }
-    // The omniscient attacker only sees gradients that will actually be
-    // broadcast: down clients' zeroed rows are filtered from its view.
-    live_view.clear();
-    if (faulty) {
-      live_view.reserve(live_honest);
-      for (std::size_t i = 0; i < honest_count; ++i) {
-        if (live(i, round)) live_view.push_back(honest_gradients[i]);
-      }
-    }
-    const VectorList& attack_view = faulty ? live_view : honest_gradients;
-
     // Phase 2: Byzantine clients fix their corrupted gradients for the
     // whole agreement phase of this learning round (down attackers are
-    // silenced by the engine; skip the craft).
+    // silenced by the engine; skip the craft).  The omniscient attacker
+    // sees the live honest gradients as broadcast.
     for (auto& value : byz_values) value.reset();
     {
       BCL_TRACE_SPAN("attack.corrupt");
       for (std::size_t i = honest_count; i < n; ++i) {
-        if (!live(i, round)) continue;
+        if (!plan.alive(i, round)) continue;
         byz_values[i] = config_.attack->corrupt(gradients.row_copy(i),
-                                                attack_view, round,
+                                                live_honest_rows, round,
                                                 setup.attack_rng());
       }
     }
@@ -229,9 +197,6 @@ TrainingResult DecentralizedTrainer::run() {
 
     // Phase 3: approximate agreement on the gradients for the logarithmic
     // sub-round schedule.
-    for (std::size_t i = 0; i < honest_count; ++i) {
-      inputs[i] = honest_gradients[i];
-    }
     const std::size_t subrounds = config_.fixed_subrounds > 0
                                       ? config_.fixed_subrounds
                                       : agreement_subrounds(round);
@@ -246,7 +211,7 @@ TrainingResult DecentralizedTrainer::run() {
     agreement.input_wire_bytes = input_wire;
     const AgreementResult agreed = [&] {
       BCL_TRACE_SPAN("agreement");
-      return run_fixed_rounds_agreement(inputs, adversary, subrounds,
+      return run_fixed_rounds_agreement(gradients, adversary, subrounds,
                                         agreement);
     }();
 
@@ -257,7 +222,7 @@ TrainingResult DecentralizedTrainer::run() {
     {
       BCL_TRACE_SPAN("sgd.apply");
       for (std::size_t i = 0; i < honest_count; ++i) {
-        if (!live(i, round)) continue;
+        if (!plan.alive(i, round)) continue;
         ml::sgd_step(params_[i], agreed.outputs[i], lr);
       }
     }
@@ -268,7 +233,7 @@ TrainingResult DecentralizedTrainer::run() {
       BCL_TRACE_SPAN("evaluate");
       for_each_in_lanes(
           config_.pool, honest_count, [&](std::size_t lane, std::size_t i) {
-            if (!live(i, round)) return;
+            if (!plan.alive(i, round)) return;
             accuracies[i] = setup.evaluate(lane, params_[i], *test_,
                                            config_.eval_max_examples);
           });
@@ -282,7 +247,7 @@ TrainingResult DecentralizedTrainer::run() {
     double lo = 1.0;
     double hi = 0.0;
     for (std::size_t i = 0; i < honest_count; ++i) {
-      if (!live(i, round)) continue;
+      if (!plan.alive(i, round)) continue;
       const double a = accuracies[i];
       sum += a;
       lo = std::min(lo, a);
@@ -300,9 +265,7 @@ TrainingResult DecentralizedTrainer::run() {
         static_cast<double>(agreed.network.bytes_delivered);
     metrics.bytes_dense =
         static_cast<double>(agreed.network.bytes_dense_delivered);
-    metrics.live_clients = faulty
-                               ? static_cast<double>(plan.live_count(round))
-                               : static_cast<double>(n);
+    metrics.live_clients = static_cast<double>(plan.live_count(round));
     metrics.degraded = agreed.network.rounds_degraded > 0 ? 1.0 : 0.0;
     if (config_.metrics != nullptr) {
       // Absorb the per-instance counter structs (dropped on AgreementResult

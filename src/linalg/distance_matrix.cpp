@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "linalg/kernels.hpp"
 #include "util/thread_pool.hpp"
@@ -38,26 +37,6 @@ double diff_norm2(const double* a, const double* b, std::size_t d) {
   return s0 + s1;
 }
 
-// Flat row-major rows of a batch for the Gram build: the owned buffer
-// directly, or — for a borrowed view batch (arena payload spans) — the rows
-// gathered once into a per-thread scratch recycled across builds and
-// rounds.  One O(m * d) gather per *build* (with cross-node sharing, one
-// per sub-round) replaces the per-node O(m * d) inbox copy the protocol
-// used to pay before the Gram build even started.  The scratch outlives
-// the delegated constructor call, which copies nothing but reads the rows
-// only during construction.
-const double* contiguous_rows(const GradientBatch& batch) {
-  if (batch.contiguous()) return batch.data();
-  static thread_local std::vector<double> gathered;
-  const std::size_t m = batch.rows();
-  const std::size_t d = batch.dim();
-  if (gathered.size() < m * d) gathered.resize(m * d);
-  for (std::size_t i = 0; i < m; ++i) {
-    std::memcpy(gathered.data() + i * d, batch.row(i), d * sizeof(double));
-  }
-  return gathered.data();
-}
-
 }  // namespace
 
 DistanceMatrix::DistanceMatrix(const VectorList& points, ThreadPool* pool)
@@ -83,9 +62,25 @@ DistanceMatrix::DistanceMatrix(const VectorList& points, ThreadPool* pool)
   }
 }
 
-DistanceMatrix::DistanceMatrix(const GradientBatch& batch, ThreadPool* pool)
-    : DistanceMatrix(contiguous_rows(batch), batch.rows(), batch.dim(),
-                     pool) {}
+DistanceMatrix::DistanceMatrix(const GradientBatch& batch, ThreadPool* pool) {
+  const std::size_t m = batch.rows();
+  const std::size_t d = batch.dim();
+  if (batch.contiguous()) {
+    *this = DistanceMatrix(batch.data(), m, d, pool);
+    return;
+  }
+  // A borrowed view (arena payload spans, a trainer's table of live rows)
+  // has no flat buffer: gather its rows once into a buffer owned by this
+  // build.  One O(m * d) copy beside the O(m^2 * d) Gram; it must not be
+  // per-thread scratch, because while this thread waits on the pool in
+  // the build it help-drains the shared queue and may run another build.
+  std::vector<double> gathered;
+  gathered.reserve(m * d);
+  for (std::size_t i = 0; i < m; ++i) {
+    gathered.insert(gathered.end(), batch.row(i), batch.row(i) + d);
+  }
+  *this = DistanceMatrix(gathered.data(), m, d, pool);
+}
 
 DistanceMatrix::DistanceMatrix(const double* rows, std::size_t m,
                                std::size_t d, ThreadPool* pool)

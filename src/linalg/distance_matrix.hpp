@@ -37,9 +37,14 @@
 //  - the VectorList constructor evaluates distance_squared per pair (rows
 //    handed out via the pool's dynamic schedule; the triangular row loop is
 //    exactly the imbalanced shape the static schedule handles poorly).  It
-//    is the exact oracle the tests lend a workspace to check every rule's
-//    Gram-path selection against, and it backs the VectorList geometry
-//    helpers (medoid_index, min_diameter_subset(s)).
+//    is the exact oracle the tests lend a workspace (or a geometry helper)
+//    to check the Gram path against; nothing in the library builds it.
+//
+// A borrowed view batch (GradientBatch::view) has no flat buffer, so the
+// batch constructor first gathers its rows into a buffer owned by that one
+// build and then runs the same kernel: the gather reads the same bytes in
+// the same order as an owned batch would hold them, so the result is
+// bitwise the owned-batch build.
 
 #include <cstddef>
 #include <cmath>
@@ -65,13 +70,12 @@ class DistanceMatrix {
   /// build.
   explicit DistanceMatrix(const VectorList& points, ThreadPool* pool = nullptr);
 
-  /// Gram-trick build over a contiguous batch (see the header comment).
-  /// With a non-null `pool` the row tiles of G are self-scheduled across
-  /// the workers; the result is bitwise identical to the serial build
-  /// (every G entry is one sequential dot regardless of which worker
-  /// computes it).  A borrowed view batch (GradientBatch::view) is
-  /// gathered once into a per-thread scratch first — same values, same
-  /// kernel, bitwise the owned-batch build.
+  /// Gram-trick build over a batch (see the header comment).  With a
+  /// non-null `pool` the row tiles of G are self-scheduled across the
+  /// workers; the result is bitwise identical to the serial build (every G
+  /// entry is one sequential dot regardless of which worker computes it).
+  /// A borrowed view batch is gathered once into a buffer owned by this
+  /// build — same values, same kernel, bitwise the owned-batch build.
   explicit DistanceMatrix(const GradientBatch& batch,
                           ThreadPool* pool = nullptr);
 

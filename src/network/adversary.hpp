@@ -67,13 +67,13 @@ class Adversary {
   /// synchrony: targeted slow-downs of honest links, or holding back its
   /// own messages instead of rushing them).  The discrete-event engine
   /// clamps the request to [0, adversary_delay_bound] and never consults
-  /// the hook when the bound is 0 — in particular the synchronous adapter
-  /// never calls it.  Defaults to no extra delay.
+  /// the hook when the bound is 0 — in particular the default synchronous
+  /// configuration never calls it.  Defaults to no extra delay.
   ///
   /// Decision hooks (delivers, delays_honest, scheduling_delay) must be
-  /// pure functions of their arguments: the engines may consult them a
-  /// different number of times per link per round, and the sharded event
-  /// engine consults them concurrently from worker threads (one per
+  /// pure functions of their arguments: the engine may consult them a
+  /// different number of times per link per round, and its sharded event
+  /// core consults them concurrently from worker threads (one per
   /// receiver), so they must not mutate adversary state.  Value fixing
   /// (byzantine_value) stays strictly serial on the driving thread.
   virtual double scheduling_delay(std::size_t sender, std::size_t receiver,

@@ -127,7 +127,8 @@ class DelayModel {
 };
 
 /// Every message takes exactly 0 time: the event engine degenerates to the
-/// lockstep synchronous round model (SyncNetwork's semantics).
+/// lockstep synchronous round model (its default configuration's
+/// semantics).
 class ZeroDelayModel final : public DelayModel {
  public:
   std::string name() const override { return "zero"; }

@@ -417,15 +417,6 @@ void EventNetwork::process_event(std::size_t receiver,
   const bool past = st.done ? event.round <= st.round : event.round < st.round;
   if (past) {
     ++shard.delta.late;
-    if (config_.staleness_bound > 0) {
-      // Bounded-staleness bookkeeping: would this arrival still have been
-      // usable under a tau-version acceptance window?
-      if (event.round + config_.staleness_bound >= st.round) {
-        ++shard.delta.stale_ok;
-      } else {
-        ++shard.delta.stale_old;
-      }
-    }
     return;
   }
   // Not past => this receiver has not completed `event.round`, so the
@@ -737,8 +728,6 @@ void EventNetwork::reduce_shard_deltas(const std::vector<std::size_t>& ids) {
     stats_.bytes_sent += d.bytes_sent;
     stats_.bytes_delivered += d.bytes_delivered;
     stats_.bytes_dense_delivered += d.bytes_dense;
-    stats_.stale_accepted += d.stale_ok;
-    stats_.stale_rejected += d.stale_old;
     d = ShardStats{};
   }
 }
@@ -800,8 +789,6 @@ void publish_network_stats(const NetworkStats& stats,
   registry.counter("net.recoveries").add(stats.recoveries);
   registry.counter("net.joins").add(stats.joins);
   registry.counter("net.rounds_degraded").add(stats.rounds_degraded);
-  registry.counter("net.stale_accepted").add(stats.stale_accepted);
-  registry.counter("net.stale_rejected").add(stats.stale_rejected);
 }
 
 }  // namespace bcl

@@ -21,11 +21,10 @@
 // targeted extra delay to any message, clamped to the partial-synchrony
 // bound `adversary_delay_bound`.
 //
-// With a zero-delay model and timeout 0, every delivery and timeout of a
-// round lands on one simulated instant; the engine drains simultaneous
-// events before advancing anyone, so it reproduces the synchronous
-// SyncNetwork semantics bitwise (SyncNetwork is a thin adapter over this
-// engine).
+// With a zero-delay model and timeout 0 (the default configuration),
+// every delivery and timeout of a round lands on one simulated instant;
+// the engine drains simultaneous events before advancing anyone, so it
+// reproduces the lockstep synchronous semantics of Section 2.3 bitwise.
 //
 // --- The sharded event core -------------------------------------------------
 //
@@ -163,10 +162,6 @@ struct NetworkStats {
   std::size_t recoveries = 0;   // down -> up under crash-recover
   std::size_t joins = 0;        // down -> up under churn
   std::size_t rounds_degraded = 0;  // rounds run below the configured quorum
-  // Late-arrival split when `staleness_bound` is set: within the bound
-  // (stale but fresh enough) vs older.  Both still count as messages_late.
-  std::size_t stale_accepted = 0;
-  std::size_t stale_rejected = 0;
 };
 
 /// Adds every NetworkStats field into `registry` under unified dotted names
@@ -225,9 +220,6 @@ struct EventNetworkConfig {
   /// sub-rounds; transitions are then accounted by the trainer, not here).
   std::size_t fault_round_offset = 0;
   bool fault_membership_frozen = false;
-  /// When > 0, classify each late arrival by how many rounds late it is:
-  /// within the bound counts stale_accepted, older counts stale_rejected.
-  std::size_t staleness_bound = 0;
   /// Optional pool for the three parallel phases (broadcast production,
   /// per-shard scheduling/draining, ready-node finalize + receive).  Runs
   /// are bitwise identical with and without it.  Not owned.
@@ -304,8 +296,6 @@ class EventNetwork {
     std::size_t bytes_sent = 0;
     std::size_t bytes_delivered = 0;
     std::size_t bytes_dense = 0;
-    std::size_t stale_ok = 0;   // late within staleness_bound
-    std::size_t stale_old = 0;  // late beyond it
   };
   /// One sorted run of a shard: ascending (time, seq), consumed from the
   /// front.  Consumed prefixes are reclaimed when the run empties.

@@ -44,7 +44,8 @@ TEST(Agreement, NoFaultsBoxGeomConverges) {
   const VectorList inputs = random_inputs(rng, n, 3);
   NoAdversary adversary;
   const auto result =
-      run_approximate_agreement(inputs, adversary, box_geom_config(n, 1));
+      run_approximate_agreement(GradientBatch::from(inputs), adversary,
+                                box_geom_config(n, 1));
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(result.outputs.size(), n);
   EXPECT_LT(diameter(result.outputs), 1e-4);
@@ -60,7 +61,8 @@ TEST(Agreement, OutputsInsideHonestBoundingBox) {
   FixedVectorAdversary adversary({5, 6}, constant(2, 1000.0));
   VectorList honest_inputs(inputs.begin(), inputs.begin() + 5);
   const auto result =
-      run_approximate_agreement(inputs, adversary, box_geom_config(n, t));
+      run_approximate_agreement(GradientBatch::from(inputs), adversary,
+                                box_geom_config(n, t));
   const Hyperbox honest_box = Hyperbox::bounding(honest_inputs);
   for (const auto& out : result.outputs) {
     EXPECT_TRUE(honest_box.contains(out, 1e-6));
@@ -75,7 +77,8 @@ TEST(Agreement, MaxEdgeHalvesEveryRound) {
   VectorList inputs = random_inputs(rng, n, 3);
   SignFlipAdversary adversary({5, 6});
   AgreementConfig cfg = box_geom_config(n, t, 0.0);  // never early-stop
-  const auto result = run_fixed_rounds_agreement(inputs, adversary, 8, cfg);
+  const auto result = run_fixed_rounds_agreement(GradientBatch::from(inputs),
+                                                 adversary, 8, cfg);
   const auto& edges = result.trace.honest_max_edge;
   ASSERT_GE(edges.size(), 9u);
   for (std::size_t r = 0; r + 1 < edges.size(); ++r) {
@@ -95,7 +98,8 @@ TEST(Agreement, BoxMeanAlsoContracts) {
   cfg.round_function = make_round_function("BOX-MEAN");
   cfg.epsilon = 1e-5;
   cfg.max_rounds = 60;
-  const auto result = run_approximate_agreement(inputs, adversary, cfg);
+  const auto result = run_approximate_agreement(GradientBatch::from(inputs),
+                                                adversary, cfg);
   EXPECT_TRUE(result.converged);
 }
 
@@ -106,7 +110,8 @@ TEST(Agreement, EpsilonAgreementReachedWithinLogRounds) {
   VectorList inputs = random_inputs(rng, n, 2, 8.0);
   NoAdversary adversary;
   AgreementConfig cfg = box_geom_config(n, 2, 1e-3);
-  const auto result = run_approximate_agreement(inputs, adversary, cfg);
+  const auto result = run_approximate_agreement(GradientBatch::from(inputs),
+                                                adversary, cfg);
   ASSERT_TRUE(result.converged);
   const double d0 = result.trace.honest_diameter.front();
   // Diameter <= sqrt(d) * E_max and E_max halves, so bound the rounds by
@@ -123,7 +128,8 @@ TEST(Agreement, CrashFaultsTolerated) {
   CrashAdversary adversary({5, 6}, /*crash_round=*/1,
                            {inputs[5], inputs[6]});
   const auto result =
-      run_approximate_agreement(inputs, adversary, box_geom_config(n, 2));
+      run_approximate_agreement(GradientBatch::from(inputs), adversary,
+                                box_geom_config(n, 2));
   EXPECT_TRUE(result.converged);
 }
 
@@ -133,7 +139,8 @@ TEST(Agreement, SilentFromStartTolerated) {
   VectorList inputs = random_inputs(rng, n, 2);
   CrashAdversary adversary({5, 6}, /*crash_round=*/0, {zeros(2), zeros(2)});
   const auto result =
-      run_approximate_agreement(inputs, adversary, box_geom_config(n, 2));
+      run_approximate_agreement(GradientBatch::from(inputs), adversary,
+                                box_geom_config(n, 2));
   EXPECT_TRUE(result.converged);
   // Honest nodes received exactly n - f = 5 messages per round.
   EXPECT_EQ(result.network.broadcasts_skipped, 2 * result.network.rounds);
@@ -145,7 +152,8 @@ TEST(Agreement, FixedRoundsRunsExactCount) {
   VectorList inputs = random_inputs(rng, n, 2);
   NoAdversary adversary;
   AgreementConfig cfg = box_geom_config(n, 1, 0.0);
-  const auto result = run_fixed_rounds_agreement(inputs, adversary, 3, cfg);
+  const auto result = run_fixed_rounds_agreement(GradientBatch::from(inputs),
+                                                 adversary, 3, cfg);
   EXPECT_EQ(result.rounds, 3u);
   EXPECT_EQ(result.trace.honest_diameter.size(), 4u);
 }
@@ -156,7 +164,8 @@ TEST(Agreement, HonestIdsSkipByzantine) {
   VectorList inputs = random_inputs(rng, n, 1);
   FixedVectorAdversary adversary({2}, {0.0});
   const auto result =
-      run_approximate_agreement(inputs, adversary, box_geom_config(n, 1));
+      run_approximate_agreement(GradientBatch::from(inputs), adversary,
+                                box_geom_config(n, 1));
   EXPECT_EQ(result.honest_ids, (std::vector<std::size_t>{0, 1, 3, 4}));
 }
 
@@ -164,7 +173,8 @@ TEST(Agreement, TooManyByzantineThrows) {
   VectorList inputs(4, Vector{0.0});
   FixedVectorAdversary adversary({0, 1}, {0.0});
   EXPECT_THROW(
-      run_approximate_agreement(inputs, adversary, box_geom_config(4, 1)),
+      run_approximate_agreement(GradientBatch::from(inputs), adversary,
+                                box_geom_config(4, 1)),
       std::invalid_argument);
 }
 
@@ -172,7 +182,8 @@ TEST(Agreement, InputSizeMismatchThrows) {
   VectorList inputs(3, Vector{0.0});
   NoAdversary adversary;
   EXPECT_THROW(
-      run_approximate_agreement(inputs, adversary, box_geom_config(4, 1)),
+      run_approximate_agreement(GradientBatch::from(inputs), adversary,
+                                box_geom_config(4, 1)),
       std::invalid_argument);
 }
 
@@ -182,7 +193,8 @@ TEST(Agreement, MissingRoundFunctionThrows) {
   AgreementConfig cfg;
   cfg.n = 4;
   cfg.t = 1;
-  EXPECT_THROW(run_approximate_agreement(inputs, adversary, cfg),
+  EXPECT_THROW(run_approximate_agreement(GradientBatch::from(inputs), adversary,
+                                         cfg),
                std::invalid_argument);
 }
 
@@ -196,8 +208,10 @@ TEST(Agreement, ParallelPoolMatchesSerial) {
   AgreementConfig parallel_cfg = serial_cfg;
   ThreadPool pool(3);
   parallel_cfg.pool = &pool;
-  const auto a = run_fixed_rounds_agreement(inputs, adv1, 4, serial_cfg);
-  const auto b = run_fixed_rounds_agreement(inputs, adv2, 4, parallel_cfg);
+  const auto a = run_fixed_rounds_agreement(GradientBatch::from(inputs), adv1,
+                                            4, serial_cfg);
+  const auto b = run_fixed_rounds_agreement(GradientBatch::from(inputs), adv2,
+                                            4, parallel_cfg);
   ASSERT_EQ(a.outputs.size(), b.outputs.size());
   for (std::size_t i = 0; i < a.outputs.size(); ++i) {
     EXPECT_TRUE(approx_equal(a.outputs[i], b.outputs[i], 0.0));
@@ -289,7 +303,8 @@ TEST_P(AgreementSweepTest, BoxGeomConvergesUnderSignFlip) {
   for (std::size_t i = p.n - p.t; i < p.n; ++i) byz.push_back(i);
   SignFlipAdversary adversary(byz);
   AgreementConfig cfg = box_geom_config(p.n, p.t, 1e-3);
-  const auto result = run_approximate_agreement(inputs, adversary, cfg);
+  const auto result = run_approximate_agreement(GradientBatch::from(inputs),
+                                                adversary, cfg);
   EXPECT_TRUE(result.converged)
       << "n=" << p.n << " t=" << p.t << " d=" << p.d;
   // epsilon-agreement achieved.

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "attacks/attack.hpp"
 #include "attacks/registry.hpp"
+#include "linalg/gradient_batch.hpp"
 #include "linalg/hyperbox.hpp"
 #include "ml/dataset.hpp"
 #include "util/rng.hpp"
@@ -15,7 +17,8 @@ namespace bcl {
 namespace {
 
 const Vector kOwn{1.0, -2.0, 3.0};
-const VectorList kHonest{{1.0, 0.0, 0.0}, {3.0, 0.0, 0.0}};
+const GradientBatch kHonest =
+    GradientBatch::from({{1.0, 0.0, 0.0}, {3.0, 0.0, 0.0}});
 
 TEST(SignFlip, NegatesOwnGradient) {
   SignFlipAttack attack;
@@ -111,7 +114,8 @@ TEST(Alie, SubmitsMeanPlusZStd) {
   Rng rng(20);
   // honest columns: coord0 {1, 3} -> mean 2, std 1; coord1 {0, 0}.
   const VectorList honest{{1.0, 0.0}, {3.0, 0.0}};
-  const auto out = attack.corrupt({9.0, 9.0}, honest, 0, rng);
+  const auto out =
+      attack.corrupt({9.0, 9.0}, GradientBatch::from(honest), 0, rng);
   ASSERT_TRUE(out.has_value());
   EXPECT_DOUBLE_EQ((*out)[0], 4.0);  // 2 + 2*1
   EXPECT_DOUBLE_EQ((*out)[1], 0.0);
@@ -127,7 +131,8 @@ TEST(Alie, StaysInsideTrimmedRangeWithSmallZ) {
   for (int i = 0; i < 9; ++i) {
     honest.push_back({rng.gaussian(), rng.gaussian()});
   }
-  const auto out = attack.corrupt(honest[0], honest, 0, rng);
+  const auto out =
+      attack.corrupt(honest[0], GradientBatch::from(honest), 0, rng);
   ASSERT_TRUE(out.has_value());
   const Hyperbox box = Hyperbox::bounding(honest);
   EXPECT_TRUE(box.contains(*out, 1e-9));
@@ -166,6 +171,43 @@ TEST(Attacks, DeterministicGivenSameRngState) {
   Rng b(42);
   EXPECT_EQ(*attack.corrupt(kOwn, kHonest, 0, a),
             *attack.corrupt(kOwn, kHonest, 0, b));
+}
+
+// The trainers lend attacks a borrowed view over rows they own.  Every
+// registered attack must craft the bitwise-same vector, and consume the
+// same randomness, from an owned batch as from a view over separately
+// allocated rows holding the same values.
+TEST(Attacks, OwnedBatchAndViewAreBitwiseEqual) {
+  const std::size_t d = 5;
+  Rng gen(31);
+  Vector own(d);
+  for (double& x : own) x = gen.gaussian();
+  for (const std::size_t m : {0u, 1u, 7u}) {
+    VectorList rows(m, Vector(d));
+    for (Vector& row : rows) {
+      for (double& x : row) x = gen.gaussian(0.5, 2.0);
+    }
+    std::vector<const double*> table;
+    for (const Vector& row : rows) table.push_back(row.data());
+    const GradientBatch owned = GradientBatch::from(rows);
+    const GradientBatch view = GradientBatch::view(table.data(), m, d);
+    ASSERT_EQ(view.contiguous(), m == 0);  // an empty table borrows nothing
+    for (const auto& name : all_attack_names()) {
+      const auto attack = make_attack(name);
+      Rng a(100 + m);
+      Rng b(100 + m);
+      const auto x = attack->corrupt(own, owned, 3, a);
+      const auto y = attack->corrupt(own, view, 3, b);
+      ASSERT_EQ(x.has_value(), y.has_value()) << name << " m=" << m;
+      if (x) {
+        ASSERT_EQ(x->size(), y->size()) << name << " m=" << m;
+        const std::size_t bytes = x->size() * sizeof(double);
+        EXPECT_EQ(std::memcmp(x->data(), y->data(), bytes), 0)
+            << name << " m=" << m;
+      }
+      EXPECT_EQ(a.state(), b.state()) << name << " m=" << m;
+    }
+  }
 }
 
 }  // namespace

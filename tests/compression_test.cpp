@@ -400,9 +400,11 @@ TEST(AgreementComp, SubRoundZeroShipsInputsUntransformed) {
   NoAdversary adversary_a;
   NoAdversary adversary_b;
   const auto plain =
-      run_fixed_rounds_agreement(inputs, adversary_a, 1, base);
+      run_fixed_rounds_agreement(GradientBatch::from(inputs), adversary_a, 1,
+                                 base);
   const auto comp =
-      run_fixed_rounds_agreement(inputs, adversary_b, 1, compressed);
+      run_fixed_rounds_agreement(GradientBatch::from(inputs), adversary_b, 1,
+                                 compressed);
   ASSERT_EQ(plain.outputs.size(), comp.outputs.size());
   for (std::size_t i = 0; i < plain.outputs.size(); ++i) {
     EXPECT_EQ(plain.outputs[i], comp.outputs[i]);  // bitwise

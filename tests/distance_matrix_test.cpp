@@ -99,6 +99,50 @@ TEST(DistanceMatrix, ParallelBuildIdenticalToSerial) {
   }
 }
 
+// A view build gathers its rows into a buffer it owns.  While a pooled
+// build waits for its column blocks, its thread help-drains the shared
+// queue and may run another view build (under bcl_run --jobs: another
+// cell's), which must not overwrite the rows the first build still reads.
+// Each set here is a tight cluster far from the origin behind an outlier
+// at row 0, so the rebase is suppressed and the cancellation guard
+// re-reads the cluster rows after the wait.
+TEST(DistanceMatrix, ViewBuildsNestedOnOnePoolMatchSerial) {
+  Rng rng(16);
+  const std::size_t builds = 24;
+  const std::size_t m = 24;
+  const std::size_t d = 64;
+  std::vector<VectorList> sets(builds);
+  std::vector<std::vector<const double*>> tables(builds);
+  for (std::size_t b = 0; b < builds; ++b) {
+    sets[b].push_back(Vector(d, 1000.0 + static_cast<double>(b)));
+    for (std::size_t i = 1; i < m; ++i) {
+      Vector row(d, 100.0);
+      for (double& x : row) x += 1e-6 * rng.uniform(-1.0, 1.0);
+      sets[b].push_back(row);
+    }
+    for (const Vector& row : sets[b]) tables[b].push_back(row.data());
+  }
+  ThreadPool pool(3);
+  std::vector<DistanceMatrix> built(builds);
+  for (std::size_t b = 0; b < builds; ++b) {
+    pool.submit([&, b] {
+      built[b] = DistanceMatrix(GradientBatch::view(tables[b].data(), m, d),
+                                &pool);
+    });
+  }
+  pool.wait_idle();
+  for (std::size_t b = 0; b < builds; ++b) {
+    const DistanceMatrix serial(GradientBatch::from(sets[b]));
+    ASSERT_EQ(built[b].size(), m);
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < m; ++j) {
+        ASSERT_EQ(built[b].dist2(i, j), serial.dist2(i, j))
+            << "build " << b << " (" << i << ", " << j << ")";
+      }
+    }
+  }
+}
+
 TEST(DistanceMatrix, DegenerateSizes) {
   EXPECT_TRUE(DistanceMatrix().empty());
   const DistanceMatrix one(VectorList{{1.0, 2.0}});
@@ -177,20 +221,17 @@ TEST(DistanceMatrix, MedoidIndexMatchesBruteForce) {
         best = i;
       }
     }
-    EXPECT_EQ(medoid_index(pts), best);
     EXPECT_EQ(medoid_index(DistanceMatrix(pts)), best);
   }
 }
 
-TEST(DistanceMatrix, MinDiameterSubsetMatchesLegacyAndBruteForce) {
+TEST(DistanceMatrix, MinDiameterSubsetMatchesBruteForce) {
   Rng rng(20);
   for (int trial = 0; trial < 10; ++trial) {
     const VectorList pts = random_points(rng, 9, 3);
     const std::size_t k = 6;
-    const auto legacy = min_diameter_subset(pts, k);
-    const auto shared = min_diameter_subset(DistanceMatrix(pts), k);
-    EXPECT_EQ(legacy.indices, shared.indices);
-    EXPECT_EQ(legacy.diameter, shared.diameter);
+    const DistanceMatrix dist(pts);
+    const auto shared = min_diameter_subset(dist, k);
     double brute = std::numeric_limits<double>::infinity();
     for_each_combination(pts.size(), k,
                          [&](const std::vector<std::size_t>& idx) {
@@ -198,13 +239,13 @@ TEST(DistanceMatrix, MinDiameterSubsetMatchesLegacyAndBruteForce) {
                          });
     EXPECT_DOUBLE_EQ(shared.diameter, brute);
 
-    const auto tied_legacy = min_diameter_subsets(pts, k, 1e-9);
-    const auto tied_shared = min_diameter_subsets(DistanceMatrix(pts), k, 1e-9);
-    ASSERT_EQ(tied_legacy.size(), tied_shared.size());
-    for (std::size_t i = 0; i < tied_legacy.size(); ++i) {
-      EXPECT_EQ(tied_legacy[i].indices, tied_shared[i].indices);
-      EXPECT_EQ(tied_legacy[i].diameter, tied_shared[i].diameter);
+    // The optimum is among the enumerated ties.
+    const auto tied = min_diameter_subsets(dist, k, 1e-9);
+    bool found = false;
+    for (const auto& r : tied) {
+      if (r.indices == shared.indices) found = true;
     }
+    EXPECT_TRUE(found);
   }
 }
 

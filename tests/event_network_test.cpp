@@ -20,7 +20,6 @@
 #include "network/adversary.hpp"
 #include "network/delay_model.hpp"
 #include "network/event_network.hpp"
-#include "network/sync_network.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -222,17 +221,21 @@ struct Fleet {
   }
 };
 
-TEST(EventNetwork, ZeroDelayMatchesSyncNetworkBitwise) {
+TEST(EventNetwork, ZeroDelayModelMatchesDefaultConfigBitwise) {
   const std::size_t n = 6;
   const std::size_t rounds = 4;
   Fleet sync_fleet(n);
   Fleet event_fleet(n);
   NoAdversary sync_adv;
   NoAdversary event_adv;
-  SyncNetwork sync_net(sync_fleet.pointers, sync_adv, nullptr, n - 1);
+  EventNetworkConfig sync_config;
+  sync_config.quorum = n - 1;
+  EventNetwork sync_net(sync_fleet.pointers, sync_adv, sync_config);
+  ZeroDelayModel zero;
   EventNetworkConfig config;
   config.quorum = n - 1;
   config.timeout = 0.0;
+  config.delay = &zero;
   EventNetwork event_net(event_fleet.pointers, event_adv, config);
   sync_net.run(rounds);
   event_net.run(rounds);
@@ -596,7 +599,8 @@ AgreementResult run_agreement_with_net(const std::string& net,
   config.round_function = make_round_function("BOX-GEOM");
   config.net = NetConfig::parse(net);
   config.net.seed = seed;
-  return run_fixed_rounds_agreement(inputs, adversary, 5, config);
+  return run_fixed_rounds_agreement(GradientBatch::from(inputs), adversary, 5,
+                                    config);
 }
 
 TEST(Equivalence, AgreementZeroDelayAsyncMatchesSyncBitwise) {

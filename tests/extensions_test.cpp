@@ -14,7 +14,7 @@
 #include "linalg/hyperbox.hpp"
 #include "ml/idx_loader.hpp"
 #include "network/adversary.hpp"
-#include "network/sync_network.hpp"
+#include "network/event_network.hpp"
 #include "util/rng.hpp"
 
 namespace bcl {
@@ -50,7 +50,9 @@ TEST(Delays, NeverBelowFloor) {
   NoAdversary inner;
   // Request to delay EVERY honest message; the floor must clamp.
   DelayingAdversary adversary(inner, 1.0, 7);
-  SyncNetwork net(pointers, adversary, nullptr, n - t);
+  EventNetworkConfig config;
+  config.quorum = n - t;
+  EventNetwork net(pointers, adversary, config);
   net.run(4);
   for (const auto& p : procs) {
     EXPECT_EQ(p->last_inbox_size(), n - t);
@@ -68,7 +70,7 @@ TEST(Delays, DefaultNetworkIgnoresDelayRequests) {
   }
   NoAdversary inner;
   DelayingAdversary adversary(inner, 1.0, 7);
-  SyncNetwork net(pointers, adversary);  // no min_inbox: full synchrony
+  EventNetwork net(pointers, adversary);  // default quorum: full synchrony
   net.run_round();
   for (const auto& p : procs) {
     EXPECT_EQ(p->last_inbox_size(), n);
@@ -133,7 +135,8 @@ TEST(Delays, BoxGeomAgreementStillConvergesUnderDelays) {
   cfg.round_function = make_round_function("BOX-GEOM");
   cfg.epsilon = 1e-4;
   cfg.max_rounds = 80;
-  const auto result = run_approximate_agreement(inputs, adversary, cfg);
+  const auto result = run_approximate_agreement(GradientBatch::from(inputs),
+                                                adversary, cfg);
   EXPECT_TRUE(result.converged);
   EXPECT_GT(result.network.messages_delayed, 0u);
   // Validity still holds.
@@ -159,7 +162,8 @@ TEST(Delays, EmaxStillHalvesUnderDelays) {
   cfg.t = 2;
   cfg.round_function = make_round_function("BOX-GEOM");
   cfg.epsilon = 0.0;
-  const auto result = run_fixed_rounds_agreement(inputs, adversary, 6, cfg);
+  const auto result = run_fixed_rounds_agreement(GradientBatch::from(inputs),
+                                                 adversary, 6, cfg);
   const auto& edges = result.trace.honest_max_edge;
   for (std::size_t r = 0; r + 1 < edges.size(); ++r) {
     EXPECT_LE(edges[r + 1], 0.5 * edges[r] + 1e-9);

@@ -9,10 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <memory>
+#include <optional>
 #include <set>
 #include <string>
 
 #include "aggregation/registry.hpp"
+#include "attacks/attack.hpp"
 #include "attacks/registry.hpp"
 #include "compression/codec.hpp"
 #include "experiments/runner.hpp"
@@ -22,6 +26,8 @@
 #include "faults/staleness.hpp"
 #include "learning/centralized.hpp"
 #include "learning/decentralized.hpp"
+#include "linalg/distance_matrix.hpp"
+#include "linalg/gradient_batch.hpp"
 #include "ml/architectures.hpp"
 #include "network/adversary.hpp"
 #include "network/delay_model.hpp"
@@ -344,8 +350,6 @@ TEST(EventNetworkFaults, NullFaultPlanKeepsStatsClean) {
   net.run(3);
   EXPECT_EQ(net.stats().crashes, 0u);
   EXPECT_EQ(net.stats().rounds_degraded, 0u);
-  EXPECT_EQ(net.stats().stale_accepted, 0u);
-  EXPECT_EQ(net.stats().stale_rejected, 0u);
 }
 
 // --- trainers --------------------------------------------------------------
@@ -491,6 +495,103 @@ TEST(DecentralizedFaults, CrashRecoverCompletesWithLiveAccounting) {
     EXPECT_LE(m.live_clients, 10.0);
     EXPECT_TRUE(std::isfinite(m.accuracy));
   }
+}
+
+// A down node never receives, so its vector is its untouched input and the
+// agreement trace must not count it.  Under net=sync every live honest node
+// sees the same inbox whenever n - t nodes are up (sign-flip sends one value
+// to everyone), so the disagreement of those rounds is exactly 0.
+TEST(DecentralizedFaults, DisagreementIgnoresDownNodes) {
+  const auto data = ml::make_synthetic_dataset(tiny_spec(15));
+  const auto factory = tiny_mlp_factory(data.train.feature_dim());
+  TrainingConfig cfg = base_config("BOX-GEOM", "sign-flip");
+  cfg.rounds = 3;
+  cfg.faults = FaultConfig::parse("crash:at=1,frac=0.1");
+  const std::size_t n = cfg.num_clients;
+  const std::size_t quorum = n - cfg.resolved_t();
+
+  // The crash must take down an honest node in a round that keeps quorum,
+  // or the check below would pass vacuously.
+  const FaultPlan plan(cfg.faults, n, cfg.rounds, cfg.seed);
+  bool honest_down = false;
+  for (std::size_t r = 0; r < cfg.rounds; ++r) {
+    for (std::size_t i = 0; i < n - cfg.num_byzantine; ++i) {
+      if (!plan.alive(i, r) && plan.live_count(r) >= quorum) {
+        honest_down = true;
+      }
+    }
+  }
+  ASSERT_TRUE(honest_down);
+
+  DecentralizedTrainer trainer(cfg, factory, &data.train, &data.test);
+  const TrainingResult result = trainer.run();
+  ASSERT_EQ(result.history.size(), cfg.rounds);
+  for (const RoundMetrics& m : result.history) {
+    if (m.live_clients >= static_cast<double>(quorum)) {
+      EXPECT_EQ(m.disagreement, 0.0) << "round " << m.round;
+    }
+  }
+}
+
+/// Logs the honest rows it is shown, per round, and submits its own
+/// gradient.  The trainer crafts from its driving thread only, so the log
+/// needs no lock.
+class RecordingAttack final : public GradientAttack {
+ public:
+  explicit RecordingAttack(std::map<std::size_t, VectorList>* seen)
+      : seen_(seen) {}
+  std::string name() const override { return "recording"; }
+  std::optional<Vector> corrupt(const Vector& own_gradient,
+                                const GradientBatch& honest, std::size_t round,
+                                Rng& /*rng*/) const override {
+    (*seen_)[round] = honest.to_vectors();
+    return own_gradient;
+  }
+
+ private:
+  std::map<std::size_t, VectorList>* seen_;
+};
+
+// The decentralized attacker sees exactly the live honest gradients, the
+// same rows the round's gradient_diameter is measured over (no codec, so
+// the attack's post-EF rows are the pre-EF ones).
+TEST(DecentralizedFaults, AttackSeesExactlyTheLiveHonestRows) {
+  const auto data = ml::make_synthetic_dataset(tiny_spec(16));
+  const auto factory = tiny_mlp_factory(data.train.feature_dim());
+  std::map<std::size_t, VectorList> seen;
+  TrainingConfig cfg = base_config("BOX-GEOM", "sign-flip");
+  cfg.attack = std::make_shared<RecordingAttack>(&seen);
+  cfg.rounds = 6;
+  cfg.faults =
+      FaultConfig::parse("crash-recover:mttf=3,mttr=2,frac=0.6,cap=0.3");
+  const std::size_t n = cfg.num_clients;
+  const std::size_t honest_count = n - cfg.num_byzantine;
+  const FaultPlan plan(cfg.faults, n, cfg.rounds, cfg.seed);
+
+  DecentralizedTrainer trainer(cfg, factory, &data.train, &data.test);
+  const TrainingResult result = trainer.run();
+  ASSERT_EQ(result.history.size(), cfg.rounds);
+  bool saw_honest_down = false;
+  for (std::size_t r = 0; r < cfg.rounds; ++r) {
+    if (!plan.alive(n - 1, r)) {  // a down attacker crafts nothing
+      EXPECT_EQ(seen.count(r), 0u) << r;
+      continue;
+    }
+    ASSERT_EQ(seen.count(r), 1u) << r;
+    const VectorList& rows = seen.at(r);
+    std::size_t live_honest = 0;
+    for (std::size_t i = 0; i < honest_count; ++i) {
+      if (plan.alive(i, r)) ++live_honest;
+    }
+    if (live_honest < honest_count) saw_honest_down = true;
+    ASSERT_EQ(rows.size(), live_honest) << r;
+    // Down clients' rows are zeroed; none may leak into the view.
+    for (const Vector& row : rows) EXPECT_GT(norm2(row), 0.0) << r;
+    EXPECT_EQ(DistanceMatrix(GradientBatch::from(rows)).diameter(),
+              result.history[r].gradient_diameter)
+        << r;
+  }
+  EXPECT_TRUE(saw_honest_down);
 }
 
 // --- scenario / sweep surface ----------------------------------------------

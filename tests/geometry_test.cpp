@@ -173,13 +173,14 @@ TEST(Weiszfeld, HighDimensionalCross) {
 
 TEST(Medoid, PicksInputPointMinimizingDistanceSum) {
   const VectorList pts{{0.0}, {1.0}, {2.0}, {10.0}};
-  EXPECT_EQ(medoid_index(pts), 1u);  // 1 has sum 1+1+9 = 11, best
-  EXPECT_EQ(medoid(pts), (Vector{1.0}));
+  const std::size_t idx = medoid_index(DistanceMatrix(pts));
+  EXPECT_EQ(idx, 1u);  // 1 has sum 1+1+9 = 11, best
+  EXPECT_EQ(pts[idx], (Vector{1.0}));
 }
 
 TEST(Medoid, TieBreaksToLowestIndex) {
   const VectorList pts{{0.0}, {2.0}};
-  EXPECT_EQ(medoid_index(pts), 0u);
+  EXPECT_EQ(medoid_index(DistanceMatrix(pts)), 0u);
 }
 
 TEST(Medoid, ScoreComputation) {
@@ -192,7 +193,7 @@ TEST(Medoid, ScoreComputation) {
 TEST(Medoid, MedoidDiffersFromGeometricMedianInGeneral) {
   // Theorem 4.3 rests on this: the medoid is constrained to input points.
   const VectorList pts{{0.0, 0.0}, {2.0, 0.0}, {1.0, 2.0}};
-  const Vector med = medoid(pts);
+  const Vector med = pts[medoid_index(DistanceMatrix(pts))];
   const Vector geo = geometric_median_point(pts);
   EXPECT_GT(distance(med, geo), 0.1);
 }
@@ -269,27 +270,30 @@ TEST(EnclosingBall, EmptyThrows) {
 
 TEST(MinDiameter, FindsObviousCluster) {
   const VectorList pts{{0.0}, {0.1}, {0.2}, {50.0}, {51.0}};
-  const auto r = min_diameter_subset(pts, 3);
+  const auto r = min_diameter_subset(DistanceMatrix(pts), 3);
   EXPECT_EQ(r.indices, (std::vector<std::size_t>{0, 1, 2}));
   EXPECT_NEAR(r.diameter, 0.2, 1e-12);
 }
 
 TEST(MinDiameter, SubsetSizeOneHasZeroDiameter) {
-  const auto r = min_diameter_subset({{5.0}, {9.0}}, 1);
+  const auto r =
+      min_diameter_subset(DistanceMatrix(VectorList{{5.0}, {9.0}}), 1);
   EXPECT_EQ(r.indices.size(), 1u);
   EXPECT_DOUBLE_EQ(r.diameter, 0.0);
 }
 
 TEST(MinDiameter, FullSetDiameterMatchesDiameterFunction) {
   const VectorList pts{{0.0, 0.0}, {3.0, 0.0}, {0.0, 4.0}};
-  const auto r = min_diameter_subset(pts, 3);
+  const auto r = min_diameter_subset(DistanceMatrix(pts), 3);
   EXPECT_DOUBLE_EQ(r.diameter, diameter(pts));
 }
 
 TEST(MinDiameter, InvalidSizesThrow) {
   const VectorList pts{{0.0}};
-  EXPECT_THROW(min_diameter_subset(pts, 0), std::invalid_argument);
-  EXPECT_THROW(min_diameter_subset(pts, 2), std::invalid_argument);
+  EXPECT_THROW(min_diameter_subset(DistanceMatrix(pts), 0),
+               std::invalid_argument);
+  EXPECT_THROW(min_diameter_subset(DistanceMatrix(pts), 2),
+               std::invalid_argument);
 }
 
 TEST(MinDiameter, MatchesBruteForceOnRandomInputs) {
@@ -300,7 +304,7 @@ TEST(MinDiameter, MatchesBruteForceOnRandomInputs) {
       pts.push_back({rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)});
     }
     const std::size_t k = 5;
-    const auto fast = min_diameter_subset(pts, k);
+    const auto fast = min_diameter_subset(DistanceMatrix(pts), k);
     double best = 1e300;
     for_each_combination(pts.size(), k,
                          [&](const std::vector<std::size_t>& idx) {
@@ -313,14 +317,15 @@ TEST(MinDiameter, MatchesBruteForceOnRandomInputs) {
 TEST(MinDiameter, TiedSubsetEnumerationFindsAllOptima) {
   // Two identical clusters of 3, ask for k = 3: both clusters are optimal.
   const VectorList pts{{0.0}, {0.1}, {0.2}, {10.0}, {10.1}, {10.2}};
-  const auto tied = min_diameter_subsets(pts, 3, 1e-9);
+  const auto tied = min_diameter_subsets(DistanceMatrix(pts), 3, 1e-9);
   EXPECT_EQ(tied.size(), 2u);
 }
 
 TEST(MinDiameter, TieEnumerationContainsLexicographicWinner) {
   const VectorList pts{{0.0}, {1.0}, {2.0}, {3.0}};
-  const auto best = min_diameter_subset(pts, 2);
-  const auto tied = min_diameter_subsets(pts, 2, 1e-9);
+  const DistanceMatrix dist(pts);
+  const auto best = min_diameter_subset(dist, 2);
+  const auto tied = min_diameter_subsets(dist, 2, 1e-9);
   bool found = false;
   for (const auto& r : tied) {
     if (r.indices == best.indices) found = true;

@@ -10,7 +10,7 @@
 
 #include "network/adversary.hpp"
 #include "network/message.hpp"
-#include "network/sync_network.hpp"
+#include "network/event_network.hpp"
 #include "util/thread_pool.hpp"
 
 namespace bcl {
@@ -56,13 +56,13 @@ std::vector<HonestProcess*> as_pointers(
   return out;
 }
 
-TEST(SyncNetwork, AllToAllDeliveryWithoutFaults) {
+TEST(LockstepNetwork, AllToAllDeliveryWithoutFaults) {
   std::vector<std::unique_ptr<RecordingProcess>> procs;
   for (std::size_t i = 0; i < 4; ++i) {
     procs.push_back(std::make_unique<RecordingProcess>(i));
   }
   NoAdversary adversary;
-  SyncNetwork net(as_pointers(procs), adversary);
+  EventNetwork net(as_pointers(procs), adversary);
   net.run_round();
   for (std::size_t i = 0; i < 4; ++i) {
     const auto& inbox = procs[i]->inboxes().at(0);
@@ -76,13 +76,13 @@ TEST(SyncNetwork, AllToAllDeliveryWithoutFaults) {
   EXPECT_EQ(net.stats().messages_omitted, 0u);
 }
 
-TEST(SyncNetwork, InboxSortedBySenderId) {
+TEST(LockstepNetwork, InboxSortedBySenderId) {
   std::vector<std::unique_ptr<RecordingProcess>> procs;
   for (std::size_t i = 0; i < 5; ++i) {
     procs.push_back(std::make_unique<RecordingProcess>(i));
   }
   NoAdversary adversary;
-  SyncNetwork net(as_pointers(procs), adversary);
+  EventNetwork net(as_pointers(procs), adversary);
   net.run(3);
   for (std::size_t r = 0; r < 3; ++r) {
     const auto& inbox = procs[2]->inboxes().at(r);
@@ -92,50 +92,50 @@ TEST(SyncNetwork, InboxSortedBySenderId) {
   }
 }
 
-TEST(SyncNetwork, ByzantineIdMustNotHaveProcess) {
+TEST(LockstepNetwork, ByzantineIdMustNotHaveProcess) {
   std::vector<std::unique_ptr<RecordingProcess>> procs;
   procs.push_back(std::make_unique<RecordingProcess>(0));
   procs.push_back(std::make_unique<RecordingProcess>(1));
   FixedVectorAdversary adversary({1}, {9.0});
-  EXPECT_THROW(SyncNetwork(as_pointers(procs), adversary),
+  EXPECT_THROW(EventNetwork(as_pointers(procs), adversary),
                std::invalid_argument);
 }
 
-TEST(SyncNetwork, HonestIdRequiresProcess) {
+TEST(LockstepNetwork, HonestIdRequiresProcess) {
   std::vector<HonestProcess*> procs(2, nullptr);
   NoAdversary adversary;
-  EXPECT_THROW(SyncNetwork(procs, adversary), std::invalid_argument);
+  EXPECT_THROW(EventNetwork(procs, adversary), std::invalid_argument);
 }
 
-TEST(SyncNetwork, FixedVectorAdversaryInjectsValue) {
+TEST(LockstepNetwork, FixedVectorAdversaryInjectsValue) {
   std::vector<std::unique_ptr<RecordingProcess>> procs;
   procs.push_back(std::make_unique<RecordingProcess>(0));
   procs.push_back(std::make_unique<RecordingProcess>(1));
   auto pointers = as_pointers(procs);
   pointers.push_back(nullptr);  // id 2 is Byzantine
   FixedVectorAdversary adversary({2}, {42.0});
-  SyncNetwork net(pointers, adversary);
+  EventNetwork net(pointers, adversary);
   net.run_round();
   const auto& inbox = procs[0]->inboxes().at(0);
   ASSERT_EQ(inbox.size(), 3u);
   EXPECT_DOUBLE_EQ(inbox[2].payload[0], 42.0);
 }
 
-TEST(SyncNetwork, CrashAdversarySilentFromCrashRound) {
+TEST(LockstepNetwork, CrashAdversarySilentFromCrashRound) {
   std::vector<std::unique_ptr<RecordingProcess>> procs;
   procs.push_back(std::make_unique<RecordingProcess>(0));
   procs.push_back(std::make_unique<RecordingProcess>(1));
   auto pointers = as_pointers(procs);
   pointers.push_back(nullptr);
   CrashAdversary adversary({2}, /*crash_round=*/1, {{7.0}});
-  SyncNetwork net(pointers, adversary);
+  EventNetwork net(pointers, adversary);
   net.run(2);
   EXPECT_EQ(procs[0]->inboxes().at(0).size(), 3u);  // pre-crash: delivers
   EXPECT_EQ(procs[0]->inboxes().at(1).size(), 2u);  // post-crash: silent
   EXPECT_EQ(net.stats().broadcasts_skipped, 1u);
 }
 
-TEST(SyncNetwork, SelectiveOmissionRespectsAdversary) {
+TEST(LockstepNetwork, SelectiveOmissionRespectsAdversary) {
   // SplitWorld: byz id 4 supports camp {0,1}, byz id 5 supports camp {2,3}.
   std::vector<std::unique_ptr<RecordingProcess>> procs;
   for (std::size_t i = 0; i < 4; ++i) {
@@ -145,7 +145,7 @@ TEST(SyncNetwork, SelectiveOmissionRespectsAdversary) {
   pointers.push_back(nullptr);
   pointers.push_back(nullptr);
   SplitWorldAdversary adversary({0, 1}, {2, 3}, {4}, {5});
-  SyncNetwork net(pointers, adversary);
+  EventNetwork net(pointers, adversary);
   net.run_round();
   // Camp 1 node receives byz 4 (camp-1 supporter) but not byz 5.
   const auto& inbox0 = procs[0]->inboxes().at(0);
@@ -164,7 +164,7 @@ TEST(SyncNetwork, SelectiveOmissionRespectsAdversary) {
   EXPECT_GT(net.stats().messages_omitted, 0u);
 }
 
-TEST(SyncNetwork, ReliableBroadcastNoEquivocation) {
+TEST(LockstepNetwork, ReliableBroadcastNoEquivocation) {
   // Structural guarantee: all receivers of a Byzantine message in a round
   // see the identical payload.
   std::vector<std::unique_ptr<RecordingProcess>> procs;
@@ -174,7 +174,7 @@ TEST(SyncNetwork, ReliableBroadcastNoEquivocation) {
   auto pointers = as_pointers(procs);
   pointers.push_back(nullptr);
   FixedVectorAdversary adversary({3}, {5.5});
-  SyncNetwork net(pointers, adversary);
+  EventNetwork net(pointers, adversary);
   net.run(4);
   for (std::size_t r = 0; r < 4; ++r) {
     Vector seen;
@@ -192,7 +192,7 @@ TEST(SyncNetwork, ReliableBroadcastNoEquivocation) {
   }
 }
 
-TEST(SyncNetwork, ParallelDeliveryMatchesSerial) {
+TEST(LockstepNetwork, ParallelDeliveryMatchesSerial) {
   auto build = [](ThreadPool* pool,
                   std::vector<std::unique_ptr<RecordingProcess>>& procs) {
     procs.clear();
@@ -202,7 +202,9 @@ TEST(SyncNetwork, ParallelDeliveryMatchesSerial) {
     std::vector<HonestProcess*> pointers;
     for (auto& p : procs) pointers.push_back(p.get());
     static NoAdversary adversary;
-    SyncNetwork net(pointers, adversary, pool);
+    EventNetworkConfig config;
+    config.pool = pool;
+    EventNetwork net(pointers, adversary, config);
     net.run(3);
   };
   std::vector<std::unique_ptr<RecordingProcess>> serial_procs;

@@ -147,7 +147,8 @@ TEST(Lemma42, MdGeomSplitWorldNeverConverges) {
   cfg.t = 2;
   cfg.round_function = make_round_function("MD-GEOM-STICKY");
   cfg.epsilon = 1e-6;
-  const auto result = run_fixed_rounds_agreement(inputs, adversary, 12, cfg);
+  const auto result = run_fixed_rounds_agreement(GradientBatch::from(inputs),
+                                                 adversary, 12, cfg);
 
   const double d0 = result.trace.honest_diameter.front();
   EXPECT_GT(d0, 1.0);
@@ -176,7 +177,8 @@ TEST(Lemma42, BoxGeomConvergesOnTheSameAdversary) {
   cfg.round_function = make_round_function("BOX-GEOM");
   cfg.epsilon = 1e-4;
   cfg.max_rounds = 40;
-  const auto result = run_approximate_agreement(inputs, adversary, cfg);
+  const auto result = run_approximate_agreement(GradientBatch::from(inputs),
+                                                adversary, cfg);
   EXPECT_TRUE(result.converged);
 }
 
@@ -265,7 +267,8 @@ TEST(Theorem44, EmaxHalvingHoldsUnderSplitWorldAndSignFlip) {
     cfg.round_function = make_round_function("BOX-GEOM");
     cfg.epsilon = 0.0;
     const auto result =
-        run_fixed_rounds_agreement(inputs, *adversary, 6, cfg);
+        run_fixed_rounds_agreement(GradientBatch::from(inputs), *adversary, 6,
+                                   cfg);
     const auto& edges = result.trace.honest_max_edge;
     for (std::size_t r = 0; r + 1 < edges.size(); ++r) {
       EXPECT_LE(edges[r + 1], 0.5 * edges[r] + 1e-9);
@@ -294,7 +297,8 @@ TEST(Theorem44, ConvergedOutputsRemainValidApproximations) {
   cfg.round_function = make_round_function("BOX-GEOM");
   cfg.epsilon = 1e-5;
   cfg.max_rounds = 60;
-  const auto result = run_approximate_agreement(inputs, adversary, cfg);
+  const auto result = run_approximate_agreement(GradientBatch::from(inputs),
+                                                adversary, cfg);
   ASSERT_TRUE(result.converged);
 
   VectorList honest_inputs(inputs.begin(), inputs.begin() + (n - t));

@@ -297,17 +297,18 @@ TEST(Registries, AttackParameterGrammar) {
   Rng rng(5);
   const Vector own{1.0, -2.0};
   const VectorList honest{{1.0, 0.0}, {3.0, 0.0}};
+  const GradientBatch rows = GradientBatch::from(honest);
 
-  EXPECT_EQ(*make_attack("sign-flip:scale=2")->corrupt(own, honest, 0, rng),
+  EXPECT_EQ(*make_attack("sign-flip:scale=2")->corrupt(own, rows, 0, rng),
             (Vector{-2.0, 4.0}));
   EXPECT_TRUE(
-      make_attack("crash:from=3")->corrupt(own, honest, 2, rng).has_value());
+      make_attack("crash:from=3")->corrupt(own, rows, 2, rng).has_value());
   EXPECT_FALSE(
-      make_attack("crash:from=3")->corrupt(own, honest, 3, rng).has_value());
-  EXPECT_EQ(*make_attack("mimic:target=1")->corrupt(own, honest, 0, rng),
+      make_attack("crash:from=3")->corrupt(own, rows, 3, rng).has_value());
+  EXPECT_EQ(*make_attack("mimic:target=1")->corrupt(own, rows, 0, rng),
             honest[1]);
   // ipm: -eps * mean(honest) = -0.5 * (2, 0).
-  EXPECT_EQ(*make_attack("ipm:eps=0.5")->corrupt(own, honest, 0, rng),
+  EXPECT_EQ(*make_attack("ipm:eps=0.5")->corrupt(own, rows, 0, rng),
             (Vector{-1.0, 0.0}));
 }
 
@@ -316,7 +317,8 @@ TEST(Registries, AttackParameterGrammar) {
 TEST(Registries, EveryAttackConstructsAndCorruptsToyRound) {
   Rng rng(17);
   Vector own{0.5, -1.0, 2.0};
-  VectorList honest{{1.0, 0.0, 0.0}, {0.9, 0.1, 0.0}, {1.1, -0.1, 0.1}};
+  const GradientBatch honest = GradientBatch::from(
+      {{1.0, 0.0, 0.0}, {0.9, 0.1, 0.0}, {1.1, -0.1, 0.1}});
   for (const auto& name : all_attack_names()) {
     const auto attack = make_attack(name);
     ASSERT_NE(attack, nullptr) << name;
@@ -334,8 +336,8 @@ TEST(Registries, EveryAttackConstructsAndCorruptsToyRound) {
 TEST(Registries, MinMaxStaysWithinHonestDiameter) {
   Rng rng(19);
   const VectorList honest{{1.0, 0.0}, {0.8, 0.2}, {1.2, -0.2}};
-  const auto out =
-      *make_attack("min-max")->corrupt(honest[0], honest, 0, rng);
+  const auto out = *make_attack("min-max")->corrupt(
+      honest[0], GradientBatch::from(honest), 0, rng);
   const double budget = diameter(honest);
   for (const auto& g : honest) {
     EXPECT_LE(distance(out, g), budget * (1.0 + 1e-9));

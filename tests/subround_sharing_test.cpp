@@ -72,7 +72,8 @@ AgreementResult run_path(const VectorList& inputs, std::size_t n,
   cfg.share_subrounds = path.share;
   cfg.pool = pool;
   SignFlipAdversary adversary({n - 2, n - 1});
-  return run_fixed_rounds_agreement(inputs, adversary, subrounds, cfg);
+  return run_fixed_rounds_agreement(GradientBatch::from(inputs), adversary,
+                                    subrounds, cfg);
 }
 
 // The naive path (owned copies, no sharing) is the reference every other
