@@ -26,7 +26,7 @@ VectorList cloud(std::size_t n, std::size_t d, std::uint64_t seed) {
 void BM_Weiszfeld(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t d = static_cast<std::size_t>(state.range(1));
-  const VectorList pts = cloud(n, d, 3);
+  const GradientBatch pts = GradientBatch::from(cloud(n, d, 3));
   for (auto _ : state) {
     benchmark::DoNotOptimize(geometric_median(pts));
   }
@@ -37,7 +37,7 @@ BENCHMARK(BM_Weiszfeld)
 void BM_WeiszfeldIterations(benchmark::State& state) {
   // Reports the iteration count Weiszfeld needs at tightening tolerances.
   const double tol = 1.0 / std::pow(10.0, static_cast<double>(state.range(0)));
-  const VectorList pts = cloud(16, 64, 5);
+  const GradientBatch pts = GradientBatch::from(cloud(16, 64, 5));
   WeiszfeldOptions options;
   options.tolerance = tol;
   std::size_t iterations = 0;

@@ -29,7 +29,7 @@ int main() {
   ctx.n = received.size();  // n = 10 clients
   ctx.t = 2;                // tolerate up to 2 Byzantine
 
-  const Vector mu_star = geometric_median_point(honest);
+  const Vector mu_star = geometric_median_point(GradientBatch::from(honest));
   std::cout << "True geometric median of the honest vectors: ("
             << mu_star[0] << ", " << mu_star[1] << ", " << mu_star[2]
             << ")\n\n";

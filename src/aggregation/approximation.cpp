@@ -39,17 +39,19 @@ VectorList compute_sgeo(const VectorList& inputs, std::size_t t,
                         ThreadPool* pool, const WeiszfeldOptions& options) {
   const std::size_t keep = subset_size(inputs, t);
   return subset_aggregates(GradientBatch::from(inputs), keep, pool,
-                           [options](const VectorList& subset) {
+                           [options](const GradientBatch& subset) {
                              return geometric_median_point(subset, options);
-                           });
+                           })
+      .to_vectors();
 }
 
 VectorList compute_smean(const VectorList& inputs, std::size_t t,
                          ThreadPool* pool) {
   const std::size_t keep = subset_size(inputs, t);
   return subset_aggregates(
-      GradientBatch::from(inputs), keep, pool,
-      [](const VectorList& subset) { return mean(subset); });
+             GradientBatch::from(inputs), keep, pool,
+             [](const GradientBatch& subset) { return mean(subset); })
+      .to_vectors();
 }
 
 ApproximationReport measure_geo_approximation(
@@ -59,7 +61,8 @@ ApproximationReport measure_geo_approximation(
     throw std::invalid_argument("measure_geo_approximation: no honest inputs");
   }
   return measure(compute_sgeo(all_inputs, t, pool),
-                 geometric_median_point(honest_inputs), output);
+                 geometric_median_point(GradientBatch::from(honest_inputs)),
+                 output);
 }
 
 ApproximationReport measure_mean_approximation(

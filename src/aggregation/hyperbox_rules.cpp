@@ -9,40 +9,35 @@
 
 namespace bcl {
 
-VectorList subset_aggregates(
+GradientBatch subset_aggregates(
     const GradientBatch& batch, std::size_t keep, ThreadPool* pool,
-    const std::function<Vector(const VectorList&)>& subset_aggregate) {
-  const std::size_t m = batch.rows();
-  if (pool != nullptr && m > keep) {
-    // Materialize the index sets so disjoint chunks can run on the pool.
-    const auto combos = all_combinations(m, keep);
-    VectorList points(combos.size());
-    pool->parallel_for(0, combos.size(), [&](std::size_t c) {
-      points[c] = subset_aggregate(gather_rows(batch, combos[c]));
-    });
-    return points;
+    const std::function<Vector(const GradientBatch&)>& subset_aggregate) {
+  const auto combos = all_combinations(batch.rows(), keep);
+  GradientBatch points(combos.size(), batch.dim());
+  // Each task owns its view table and writes only its own row.
+  const auto run = [&](std::size_t c) {
+    std::vector<const double*> table;
+    points.set_row(c, subset_aggregate(rows_view(batch, combos[c], table)));
+  };
+  if (pool != nullptr) {
+    pool->parallel_for_dynamic(0, combos.size(), run);
+  } else {
+    for (std::size_t c = 0; c < combos.size(); ++c) run(c);
   }
-  // Serial path: stream the combinations without materializing them.
-  VectorList points;
-  points.reserve(static_cast<std::size_t>(binomial(m, keep)));
-  for_each_combination(m, keep, [&](const std::vector<std::size_t>& idx) {
-    points.push_back(subset_aggregate(gather_rows(batch, idx)));
-  });
   return points;
 }
 
 Vector hyperbox_aggregate(
     const GradientBatch& batch, const AggregationContext& ctx,
-    const std::function<Vector(const VectorList&)>& subset_aggregate) {
+    const std::function<Vector(const GradientBatch&)>& subset_aggregate) {
   const std::size_t keep = ctx.keep();
   // TH_i: coordinate-wise trim of |M_i| - (n - t) values per side
   // (Definition 2.5).
   const Hyperbox trusted = trimmed_hyperbox(batch, keep);
   // GH_i (or its mean analogue): bounding box of subset aggregates
   // (Definition 3.5).
-  const VectorList points =
-      subset_aggregates(batch, keep, ctx.pool, subset_aggregate);
-  const Hyperbox aggregate_box = Hyperbox::bounding(points);
+  const Hyperbox aggregate_box = Hyperbox::bounding(
+      subset_aggregates(batch, keep, ctx.pool, subset_aggregate));
 
   auto intersection = Hyperbox::intersect(trusted, aggregate_box);
   if (!intersection) {
@@ -78,8 +73,9 @@ AggregationContext with_workspace_pool(const AggregationContext& ctx,
 Vector BoxMeanRule::do_aggregate(const GradientBatch& batch,
                                  AggregationWorkspace& workspace,
                                  const AggregationContext& ctx) const {
-  return hyperbox_aggregate(batch, with_workspace_pool(ctx, workspace),
-                            [](const VectorList& subset) { return mean(subset); });
+  return hyperbox_aggregate(
+      batch, with_workspace_pool(ctx, workspace),
+      [](const GradientBatch& subset) { return mean(subset); });
 }
 
 Vector BoxGeoMedianRule::do_aggregate(const GradientBatch& batch,
@@ -88,7 +84,7 @@ Vector BoxGeoMedianRule::do_aggregate(const GradientBatch& batch,
   const WeiszfeldOptions options = options_;
   return hyperbox_aggregate(
       batch, with_workspace_pool(ctx, workspace),
-      [options](const VectorList& subset) {
+      [options](const GradientBatch& subset) {
         return geometric_median_point(subset, options);
       });
 }

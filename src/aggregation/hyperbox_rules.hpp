@@ -22,13 +22,14 @@
 namespace bcl {
 
 /// Computes the per-subset aggregate points used by the hyperbox rules:
-/// one point per (n-t)-subset of the batch rows, in lexicographic subset
-/// order.  Each subset's rows are gathered into a VectorList and mapped to
-/// its aggregate (mean or geometric median) by `subset_aggregate`.  Runs
-/// subsets in parallel when `pool` is set.
-VectorList subset_aggregates(
+/// row c of the result is the aggregate (mean or geometric median) that
+/// `subset_aggregate` maps the c-th (n-t)-subset of the batch rows to, in
+/// lexicographic subset order.  Each subset reaches it as a rows_view of
+/// the batch.  Subsets are handed out with parallel_for_dynamic when
+/// `pool` is set, else run in a plain loop.
+GradientBatch subset_aggregates(
     const GradientBatch& batch, std::size_t keep, ThreadPool* pool,
-    const std::function<Vector(const VectorList&)>& subset_aggregate);
+    const std::function<Vector(const GradientBatch&)>& subset_aggregate);
 
 /// Shared implementation of the two hyperbox rules: output
 /// mid(trimmed_hyperbox(batch) ∩ bounding_box(subset aggregates)).
@@ -37,7 +38,7 @@ VectorList subset_aggregates(
 /// tolerance absorbs Weiszfeld rounding).
 Vector hyperbox_aggregate(
     const GradientBatch& batch, const AggregationContext& ctx,
-    const std::function<Vector(const VectorList&)>& subset_aggregate);
+    const std::function<Vector(const GradientBatch&)>& subset_aggregate);
 
 /// BOX-MEAN: hyperbox rule with subset means.  The subset fan-out runs on
 /// the workspace's pool when one is attached, else on ctx.pool.

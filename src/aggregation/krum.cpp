@@ -1,45 +1,12 @@
 #include "aggregation/krum.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <stdexcept>
 
 namespace bcl {
 
 namespace {
-
-// Shared scoring kernel: `pair_score(i, j)` yields the (squared) distance
-// between vectors i and j.  Keeping one kernel for both entry points
-// guarantees the matrix-based and legacy scores are bitwise identical.
-template <typename PairScore>
-std::vector<double> krum_scores_impl(std::size_t m, std::size_t closest,
-                                     PairScore&& pair_score) {
-  if (closest >= m) {
-    throw std::invalid_argument("krum_scores: closest must be < m");
-  }
-  std::vector<double> scores(m, 0.0);
-  std::vector<double> dists;
-  dists.reserve(m - 1);
-  for (std::size_t i = 0; i < m; ++i) {
-    dists.clear();
-    for (std::size_t j = 0; j < m; ++j) {
-      if (j == i) continue;
-      dists.push_back(pair_score(i, j));
-    }
-    // nth_element + introsort of the kept prefix produces the same
-    // ascending closest-distance order as a partial_sort, in ~1/4 the
-    // time when `closest` is most of the row (the Krum regime,
-    // closest = n - t - 1): partial_sort degenerates into a full
-    // heapsort there.  Same values in the same accumulation order, so
-    // scores are bit-identical.
-    auto kept = dists.begin() + static_cast<long>(closest);
-    std::nth_element(dists.begin(), kept, dists.end());
-    std::sort(dists.begin(), kept);
-    scores[i] = std::accumulate(dists.begin(), kept, 0.0);
-  }
-  return scores;
-}
 
 std::size_t closest_count(std::size_t m, const AggregationContext& ctx) {
   // C_i contains the n - t - 1 closest vectors to v_i (Equation 3).
@@ -68,23 +35,34 @@ std::vector<std::size_t> multikrum_order(const DistanceMatrix& dist,
 
 }  // namespace
 
-std::vector<double> krum_scores(const VectorList& received,
-                                std::size_t closest, KrumScore flavour) {
-  return krum_scores_impl(
-      received.size(), closest, [&](std::size_t i, std::size_t j) {
-        const double d2 = distance_squared(received[i], received[j]);
-        return flavour == KrumScore::Squared ? d2 : std::sqrt(d2);
-      });
-}
-
 std::vector<double> krum_scores(const DistanceMatrix& dist,
                                 std::size_t closest, KrumScore flavour) {
-  return krum_scores_impl(dist.size(), closest,
-                          [&](std::size_t i, std::size_t j) {
-                            return flavour == KrumScore::Squared
-                                       ? dist.dist2(i, j)
-                                       : dist.dist(i, j);
-                          });
+  const std::size_t m = dist.size();
+  if (closest >= m) {
+    throw std::invalid_argument("krum_scores: closest must be < m");
+  }
+  std::vector<double> scores(m, 0.0);
+  std::vector<double> dists;
+  dists.reserve(m - 1);
+  for (std::size_t i = 0; i < m; ++i) {
+    dists.clear();
+    for (std::size_t j = 0; j < m; ++j) {
+      if (j == i) continue;
+      dists.push_back(flavour == KrumScore::Squared ? dist.dist2(i, j)
+                                                    : dist.dist(i, j));
+    }
+    // nth_element + introsort of the kept prefix produces the same
+    // ascending closest-distance order as a partial_sort, in ~1/4 the
+    // time when `closest` is most of the row (the Krum regime,
+    // closest = n - t - 1): partial_sort degenerates into a full
+    // heapsort there.  Same values in the same accumulation order, so
+    // scores are bit-identical.
+    auto kept = dists.begin() + static_cast<long>(closest);
+    std::nth_element(dists.begin(), kept, dists.end());
+    std::sort(dists.begin(), kept);
+    scores[i] = std::accumulate(dists.begin(), kept, 0.0);
+  }
+  return scores;
 }
 
 Vector KrumRule::do_aggregate(const GradientBatch& batch,

@@ -17,13 +17,9 @@ namespace bcl {
 /// squared distances.  Both are provided; the ranking can differ.
 enum class KrumScore { Euclidean, Squared };
 
-/// Krum scores: score[i] = sum of (squared) distances from received[i] to
-/// its `closest` nearest other vectors.
-std::vector<double> krum_scores(const VectorList& received,
-                                std::size_t closest, KrumScore flavour);
-
-/// Krum scores from a precomputed pairwise distance matrix; identical to
-/// the VectorList form, without the O(m^2 * d) distance recomputation.
+/// Krum scores from a precomputed pairwise distance matrix: score[i] = sum
+/// of the (squared) distances from point i to its `closest` nearest other
+/// points, added in ascending order.  Throws unless closest < m.
 std::vector<double> krum_scores(const DistanceMatrix& dist,
                                 std::size_t closest, KrumScore flavour);
 

@@ -15,9 +15,9 @@ Vector MinimumDiameterGeoMedianRule::do_aggregate(
     const GradientBatch& batch, AggregationWorkspace& workspace,
     const AggregationContext& ctx) const {
   const auto md = min_diameter_subset(workspace.distances(), ctx.keep());
-  // Only the minimum-diameter subset is materialized for Weiszfeld, not the
-  // whole inbox.
-  return geometric_median_point(gather_rows(batch, md.indices), options_);
+  // Weiszfeld reads the minimum-diameter subset's rows in place.
+  std::vector<const double*> table;
+  return geometric_median_point(rows_view(batch, md.indices, table), options_);
 }
 
 }  // namespace bcl

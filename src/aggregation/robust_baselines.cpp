@@ -11,12 +11,11 @@ namespace bcl {
 Vector RfaRule::do_aggregate(const GradientBatch& batch,
                              AggregationWorkspace& /*workspace*/,
                              const AggregationContext& /*ctx*/) const {
-  const VectorList received = batch.to_vectors();
   // Scale the absolute smoothing radius by the data spread so the rule is
   // scale-equivariant.
-  const double spread = Hyperbox::bounding(received).diagonal();
+  const double spread = Hyperbox::bounding(batch).diagonal();
   const double nu = std::max(nu_ * (1.0 + spread), 1e-300);
-  return smoothed_geometric_median(received, nu, options_).point;
+  return smoothed_geometric_median(batch, nu, options_).point;
 }
 
 Vector CenteredClippingRule::do_aggregate(

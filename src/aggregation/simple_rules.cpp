@@ -16,7 +16,7 @@ Vector MeanRule::do_aggregate(const GradientBatch& batch,
 Vector GeometricMedianRule::do_aggregate(
     const GradientBatch& batch, AggregationWorkspace& /*workspace*/,
     const AggregationContext& /*ctx*/) const {
-  return geometric_median_point(batch.to_vectors(), options_);
+  return geometric_median_point(batch, options_);
 }
 
 Vector MedoidRule::do_aggregate(const GradientBatch& batch,

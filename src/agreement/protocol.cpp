@@ -301,23 +301,25 @@ AgreementResult run_impl(const GradientBatch& inputs, Adversary& adversary,
   // The trace measures the honest nodes up in the frozen plan round: a
   // down node never receives, so its vector is its untouched input.
   auto record_trace = [&] {
-    VectorList current;
+    std::vector<const double*> live;
     for (const std::size_t i : result.honest_ids) {
       if (config.faults == nullptr ||
           config.faults->alive(i, config.fault_round)) {
-        current.push_back(nodes[i]->current());
+        live.push_back(nodes[i]->current().data());
       }
     }
-    if (current.empty()) {
+    if (live.empty()) {
       result.trace.honest_diameter.push_back(0.0);
       result.trace.honest_max_edge.push_back(0.0);
       return;
     }
     // The convergence check is itself a pairwise-distance computation;
-    // build it through the Gram-trick kernel over a contiguous copy
-    // (pool-parallel when configured).
+    // build it through the Gram-trick kernel over a view of the live
+    // nodes' vectors (pool-parallel when configured).
+    const GradientBatch current =
+        GradientBatch::view(live.data(), live.size(), inputs.dim());
     result.trace.honest_diameter.push_back(
-        DistanceMatrix(GradientBatch::from(current), config.pool).diameter());
+        DistanceMatrix(current, config.pool).diameter());
     result.trace.honest_max_edge.push_back(
         Hyperbox::bounding(current).max_edge());
   };

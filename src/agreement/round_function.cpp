@@ -29,10 +29,10 @@ Vector StickyMinDiameterGeoRound::step(const GradientBatch& batch,
   const auto tied = min_diameter_subsets(workspace.distances(), ctx.keep());
   Vector best;
   double best_dist = std::numeric_limits<double>::infinity();
+  std::vector<const double*> table;
   for (const auto& candidate : tied) {
-    const Vector median =
-        geometric_median_point(gather_rows(batch, candidate.indices),
-                               options_);
+    const Vector median = geometric_median_point(
+        rows_view(batch, candidate.indices, table), options_);
     const double d = distance(median, current);
     if (d < best_dist) {
       best_dist = d;

@@ -61,8 +61,6 @@
 #include "ml/architectures.hpp"
 #include "aggregation/robust_baselines.hpp"
 #include "ml/dataset.hpp"
-#include "ml/checkpoint.hpp"
-#include "ml/idx_loader.hpp"
 #include "ml/model.hpp"
 #include "ml/optimizer.hpp"
 #include "ml/partition.hpp"

@@ -4,17 +4,6 @@
 
 namespace bcl {
 
-double medoid_score(const VectorList& points, std::size_t i) {
-  if (i >= points.size()) {
-    throw std::invalid_argument("medoid_score: index out of range");
-  }
-  double s = 0.0;
-  for (std::size_t j = 0; j < points.size(); ++j) {
-    if (j != i) s += distance(points[i], points[j]);
-  }
-  return s;
-}
-
 double medoid_score(const DistanceMatrix& dist, std::size_t i) {
   if (i >= dist.size()) {
     throw std::invalid_argument("medoid_score: index out of range");

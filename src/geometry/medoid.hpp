@@ -4,13 +4,11 @@
 // medoid aggregation rule of El-Mhamdi et al.
 //
 // The medoid is selected over a DistanceMatrix: callers have already paid
-// for the shared pairwise matrix (one inbox, many rules).  The VectorList
-// score measures its distances directly and is the tests' reference.
+// for the shared pairwise matrix (one inbox, many rules).
 
 #include <cstddef>
 
 #include "linalg/distance_matrix.hpp"
-#include "linalg/vector_ops.hpp"
 
 namespace bcl {
 
@@ -18,10 +16,8 @@ namespace bcl {
 /// index).  Throws std::invalid_argument on an empty matrix.
 std::size_t medoid_index(const DistanceMatrix& dist);
 
-/// Sum of distances from points[i] to every other point.
-double medoid_score(const VectorList& points, std::size_t i);
-
-/// Same score looked up in a precomputed distance matrix.
+/// Sum of distances from point i to every other point, looked up in a
+/// precomputed distance matrix.
 double medoid_score(const DistanceMatrix& dist, std::size_t i);
 
 }  // namespace bcl

@@ -9,10 +9,14 @@
 // point is optimal iff the norm of the summed unit directions to the other
 // points is at most its multiplicity; otherwise the iterate is pushed along
 // that direction.
+//
+// The points are the rows of a GradientBatch, owned or a borrowed view:
+// the rules pass their inbox as is, and the subset rules a rows_view of
+// one subset, so no point is copied before the iteration reads it.
 
 #include <cstddef>
 
-#include "linalg/vector_ops.hpp"
+#include "linalg/gradient_batch.hpp"
 
 namespace bcl {
 
@@ -33,24 +37,28 @@ struct WeiszfeldResult {
   double objective = 0.0;
 };
 
-/// Computes the geometric median of a non-empty list.  For one point the
-/// answer is the point; for two points the midpoint (every point on the
-/// segment is a minimizer; the midpoint is the canonical symmetric choice).
-WeiszfeldResult geometric_median(const VectorList& points,
+/// Computes the geometric median of a non-empty batch's rows.  For one
+/// point the answer is the point; for two points the midpoint (every point
+/// on the segment is a minimizer; the midpoint is the canonical symmetric
+/// choice).  When more than n/2 rows are equal (compared lexicographically,
+/// so -0.0 == 0.0), the first of them by index is the median.
+WeiszfeldResult geometric_median(const GradientBatch& points,
                                  const WeiszfeldOptions& options = {});
 
 /// Convenience wrapper returning only the median vector.
-Vector geometric_median_point(const VectorList& points,
+Vector geometric_median_point(const GradientBatch& points,
                               const WeiszfeldOptions& options = {});
 
-/// The Fermat objective sum_i ||v_i - y||.
-double geometric_median_objective(const VectorList& points, const Vector& y);
+/// The Fermat objective sum_i ||v_i - y|| (throws std::invalid_argument
+/// unless y has the batch's dimension).
+double geometric_median_objective(const GradientBatch& points,
+                                  const Vector& y);
 
 /// Smoothed Weiszfeld of Pillutla et al. (RFA): weights 1/max(nu, dist),
 /// which removes the anchor singularity at the cost of solving a smoothed
 /// objective.  nu is an absolute smoothing radius; the result converges to
 /// the geometric median as nu -> 0.
-WeiszfeldResult smoothed_geometric_median(const VectorList& points,
+WeiszfeldResult smoothed_geometric_median(const GradientBatch& points,
                                           double nu,
                                           const WeiszfeldOptions& options = {});
 

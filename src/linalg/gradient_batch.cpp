@@ -76,12 +76,12 @@ Vector mean_of_rows(const GradientBatch& batch,
   return r;
 }
 
-VectorList gather_rows(const GradientBatch& batch,
-                       const std::vector<std::size_t>& indices) {
-  VectorList out;
-  out.reserve(indices.size());
-  for (std::size_t i : indices) out.push_back(batch.row_copy(i));
-  return out;
+GradientBatch rows_view(const GradientBatch& batch,
+                        const std::vector<std::size_t>& indices,
+                        std::vector<const double*>& table) {
+  table.clear();
+  for (std::size_t i : indices) table.push_back(batch.row(i));
+  return GradientBatch::view(table.data(), table.size(), batch.dim());
 }
 
 }  // namespace bcl

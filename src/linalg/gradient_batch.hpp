@@ -11,7 +11,8 @@
 // require.
 //
 // Producers write rows in place (clients deposit gradients directly via
-// row()); consumers that still speak VectorList convert explicitly with
+// row()); the few edges that still speak VectorList (the min-max attack,
+// the approximation-ratio helpers, tests) convert explicitly with
 // to_vectors() / from().  The batch owns its storage; row pointers are
 // invalidated by resize().
 //
@@ -28,9 +29,11 @@
 // A view batch is read-only (the rows belong to someone else): the
 // mutating accessors throw std::logic_error on it, and the flat data()
 // accessors require contiguous() — row-based consumers (row(), row_copy(),
-// to_vectors(), mean_of_rows(), the blocked column passes) work on either
-// representation unchanged, and the few flat-layout consumers (mean's
-// col_sum, the Gram build, sharded slicing) branch on contiguous().
+// to_vectors(), mean_of_rows(), the blocked column passes, Weiszfeld and
+// the bounding box) work on either representation unchanged, and the few
+// flat-layout consumers (mean's col_sum, the Gram build, sharded slicing)
+// branch on contiguous().  rows_view() lends a subset of rows the same
+// way, so the subset rules hand Weiszfeld their rows in place.
 // Lifetime rule, mirroring network/message.hpp: both the rows and the
 // pointer table must outlive the view batch.
 
@@ -136,10 +139,12 @@ Vector mean(const GradientBatch& batch);
 Vector mean_of_rows(const GradientBatch& batch,
                     const std::vector<std::size_t>& indices);
 
-/// Copies the selected rows, in `indices` order, into a VectorList: the
-/// subset input of the point-list kernels (Weiszfeld) behind BOX-*,
-/// MD-GEOM and the sticky MD-GEOM round.
-VectorList gather_rows(const GradientBatch& batch,
-                       const std::vector<std::size_t>& indices);
+/// Borrowed view of the selected rows, in `indices` order: fills `table`
+/// with their row pointers and returns a view over it, copying no row.
+/// The subset input of Weiszfeld behind BOX-*, MD-GEOM and the sticky
+/// MD-GEOM round.  `batch`'s rows and `table` must outlive the view.
+GradientBatch rows_view(const GradientBatch& batch,
+                        const std::vector<std::size_t>& indices,
+                        std::vector<const double*>& table);
 
 }  // namespace bcl

@@ -19,15 +19,15 @@ Hyperbox::Hyperbox(Vector lo, Vector hi) : lo_(std::move(lo)), hi_(std::move(hi)
 
 Hyperbox Hyperbox::point(const Vector& p) { return Hyperbox(p, p); }
 
-Hyperbox Hyperbox::bounding(const VectorList& points) {
+Hyperbox Hyperbox::bounding(const GradientBatch& points) {
   if (points.empty()) {
     throw std::invalid_argument("Hyperbox::bounding: empty point list");
   }
-  const std::size_t d = check_same_dimension(points);
-  Vector lo = points.front();
-  Vector hi = points.front();
-  for (const auto& p : points) {
-    for (std::size_t k = 0; k < d; ++k) {
+  Vector lo = points.row_copy(0);
+  Vector hi = points.row_copy(0);
+  for (std::size_t i = 0; i < points.rows(); ++i) {
+    const double* p = points.row(i);
+    for (std::size_t k = 0; k < points.dim(); ++k) {
       lo[k] = std::min(lo[k], p[k]);
       hi[k] = std::max(hi[k], p[k]);
     }

@@ -8,7 +8,7 @@
 
 #include <optional>
 
-#include "linalg/vector_ops.hpp"
+#include "linalg/gradient_batch.hpp"
 
 namespace bcl {
 
@@ -23,9 +23,10 @@ class Hyperbox {
   /// Degenerate box containing exactly one point.
   static Hyperbox point(const Vector& p);
 
-  /// Smallest hyperbox containing all points (their coordinate-wise
-  /// bounding box).  Throws on an empty list.
-  static Hyperbox bounding(const VectorList& points);
+  /// Smallest hyperbox containing all rows of `points` (their
+  /// coordinate-wise bounding box), owned or a borrowed view.  Throws on
+  /// an empty batch.
+  static Hyperbox bounding(const GradientBatch& points);
 
   std::size_t dimension() const { return lo_.size(); }
   const Vector& lo() const { return lo_; }

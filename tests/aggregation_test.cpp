@@ -129,7 +129,8 @@ TEST(Krum, ScoresMatchBruteForce) {
   Rng rng(3);
   const VectorList pts = random_points(rng, 7, 3);
   const std::size_t closest = 4;
-  const auto scores = krum_scores(pts, closest, KrumScore::Euclidean);
+  const auto scores =
+      krum_scores(DistanceMatrix(pts), closest, KrumScore::Euclidean);
   for (std::size_t i = 0; i < pts.size(); ++i) {
     std::vector<double> dists;
     for (std::size_t j = 0; j < pts.size(); ++j) {
@@ -145,7 +146,7 @@ TEST(Krum, ScoresMatchBruteForce) {
 TEST(Krum, SquaredFlavourMatchesBlanchardScoring) {
   Rng rng(4);
   const VectorList pts = random_points(rng, 6, 2);
-  const auto scores = krum_scores(pts, 3, KrumScore::Squared);
+  const auto scores = krum_scores(DistanceMatrix(pts), 3, KrumScore::Squared);
   std::vector<double> expected;
   for (std::size_t i = 0; i < pts.size(); ++i) {
     std::vector<double> dists;
@@ -253,7 +254,8 @@ TEST(BoxGeom, OutputInsideTrustedHyperbox) {
     BoxGeoMedianRule rule;
     const Vector out = rule.aggregate(all, ctx_of(10, 2));
     // Validity (Theorem 4.4 proof): output within the honest bounding box.
-    EXPECT_TRUE(Hyperbox::bounding(honest).contains(out, 1e-6));
+    EXPECT_TRUE(
+        Hyperbox::bounding(GradientBatch::from(honest)).contains(out, 1e-6));
   }
 }
 
@@ -265,7 +267,8 @@ TEST(BoxMean, OutputInsideTrustedHyperbox) {
     all.push_back(constant(2, 99.0));
     BoxMeanRule rule;
     const Vector out = rule.aggregate(all, ctx_of(5, 1));
-    EXPECT_TRUE(Hyperbox::bounding(honest).contains(out, 1e-6));
+    EXPECT_TRUE(
+        Hyperbox::bounding(GradientBatch::from(honest)).contains(out, 1e-6));
   }
 }
 
@@ -297,13 +300,13 @@ TEST(BoxRules, SubsetAggregatesMatchSerialAndParallel) {
   Rng rng(10);
   const GradientBatch pts = GradientBatch::from(random_points(rng, 9, 5));
   ThreadPool pool(3);
-  const auto serial = subset_aggregates(
-      pts, 7, nullptr, [](const VectorList& s) { return mean(s); });
-  const auto parallel = subset_aggregates(
-      pts, 7, &pool, [](const VectorList& s) { return mean(s); });
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_TRUE(approx_equal(serial[i], parallel[i], 0.0));
+  const auto mean_of = [](const GradientBatch& s) { return mean(s); };
+  const GradientBatch serial = subset_aggregates(pts, 7, nullptr, mean_of);
+  const GradientBatch parallel = subset_aggregates(pts, 7, &pool, mean_of);
+  ASSERT_EQ(serial.rows(), binomial(9, 7));
+  ASSERT_EQ(serial.rows(), parallel.rows());
+  for (std::size_t i = 0; i < serial.rows(); ++i) {
+    EXPECT_TRUE(approx_equal(serial.row_copy(i), parallel.row_copy(i), 0.0));
   }
 }
 
@@ -388,8 +391,9 @@ TEST_P(RobustRuleTest, OutlierResistance) {
     const Vector out = rule->aggregate(all, ctx_of(10, 2));
     // Output stays within a small blow-up of the honest bounding box
     // (robustness); the plain mean would be dragged to ~1e5.
-    EXPECT_TRUE(
-        Hyperbox::bounding(honest).inflated(1.0).contains(out, 1e-6))
+    EXPECT_TRUE(Hyperbox::bounding(GradientBatch::from(honest))
+                    .inflated(1.0)
+                    .contains(out, 1e-6))
         << "rule " << GetParam();
   }
 }

@@ -63,7 +63,8 @@ TEST(Agreement, OutputsInsideHonestBoundingBox) {
   const auto result =
       run_approximate_agreement(GradientBatch::from(inputs), adversary,
                                 box_geom_config(n, t));
-  const Hyperbox honest_box = Hyperbox::bounding(honest_inputs);
+  const Hyperbox honest_box =
+      Hyperbox::bounding(GradientBatch::from(honest_inputs));
   for (const auto& out : result.outputs) {
     EXPECT_TRUE(honest_box.contains(out, 1e-6));
   }

@@ -39,7 +39,8 @@ TEST(Sgeo, ZeroFaultsSingleton) {
   const VectorList pts = random_points(rng, 5, 3);
   const auto sgeo = compute_sgeo(pts, 0);
   ASSERT_EQ(sgeo.size(), 1u);
-  EXPECT_TRUE(approx_equal(sgeo[0], geometric_median_point(pts), 1e-9));
+  EXPECT_TRUE(approx_equal(
+      sgeo[0], geometric_median_point(GradientBatch::from(pts)), 1e-9));
 }
 
 TEST(Sgeo, ParallelMatchesSerial) {
@@ -71,7 +72,7 @@ TEST(Lemma32, TrueMedianInsideCoveringBallOfSgeo) {
     for (std::size_t b = 0; b < f; ++b) {
       all.push_back(constant(3, rng.uniform(-50.0, 50.0)));
     }
-    const Vector mu_star = geometric_median_point(honest);
+    const Vector mu_star = geometric_median_point(GradientBatch::from(honest));
     const auto sgeo = compute_sgeo(all, t);
     const Ball ball = minimum_enclosing_ball(sgeo);
     EXPECT_LE(distance(mu_star, ball.center),
@@ -82,7 +83,7 @@ TEST(Lemma32, TrueMedianInsideCoveringBallOfSgeo) {
 TEST(Measure, PerfectOutputHasDistanceZero) {
   Rng rng(5);
   const VectorList honest = random_points(rng, 6, 2);
-  const Vector mu = geometric_median_point(honest);
+  const Vector mu = geometric_median_point(GradientBatch::from(honest));
   const auto report = measure_geo_approximation(honest, honest, 1, mu);
   EXPECT_NEAR(report.distance_to_true, 0.0, 1e-9);
   EXPECT_LT(report.ratio, 1e-3);
@@ -92,8 +93,8 @@ TEST(Measure, RatioScalesWithDistance) {
   Rng rng(6);
   const VectorList honest = random_points(rng, 6, 2);
   const auto near_report = measure_geo_approximation(
-      honest, honest, 1, geometric_median_point(honest));
-  Vector far = geometric_median_point(honest);
+      honest, honest, 1, geometric_median_point(GradientBatch::from(honest)));
+  Vector far = geometric_median_point(GradientBatch::from(honest));
   far[0] += 100.0;
   const auto far_report = measure_geo_approximation(honest, honest, 1, far);
   EXPECT_GT(far_report.ratio, near_report.ratio);

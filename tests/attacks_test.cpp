@@ -134,7 +134,7 @@ TEST(Alie, StaysInsideTrimmedRangeWithSmallZ) {
   const auto out =
       attack.corrupt(honest[0], GradientBatch::from(honest), 0, rng);
   ASSERT_TRUE(out.has_value());
-  const Hyperbox box = Hyperbox::bounding(honest);
+  const Hyperbox box = Hyperbox::bounding(GradientBatch::from(honest));
   EXPECT_TRUE(box.contains(*out, 1e-9));
 }
 

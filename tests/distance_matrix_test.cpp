@@ -74,13 +74,23 @@ TEST(DistanceMatrix, SubsetDiameterMatchesGatheredDiameter) {
                        });
 }
 
+// Sum of distances from pts[i] to every other point, the medoid score's
+// brute-force reference.
+double summed_distances(const VectorList& pts, std::size_t i) {
+  double s = 0.0;
+  for (std::size_t j = 0; j < pts.size(); ++j) {
+    if (j != i) s += distance(pts[i], pts[j]);
+  }
+  return s;
+}
+
 TEST(DistanceMatrix, RowSumMatchesMedoidScore) {
   Rng rng(14);
   const VectorList pts = random_points(rng, 11, 6);
   const DistanceMatrix dm(pts);
   for (std::size_t i = 0; i < pts.size(); ++i) {
-    EXPECT_EQ(dm.row_sum(i), medoid_score(pts, i));
-    EXPECT_EQ(medoid_score(dm, i), medoid_score(pts, i));
+    EXPECT_EQ(dm.row_sum(i), summed_distances(pts, i));
+    EXPECT_EQ(medoid_score(dm, i), summed_distances(pts, i));
   }
 }
 
@@ -178,7 +188,7 @@ TEST(AggregationWorkspace, MismatchedInboxThrows) {
   EXPECT_THROW(rule->aggregate(pts, ws, ctx), std::invalid_argument);
 }
 
-// --- geometry searches: matrix form vs legacy form ---
+// --- geometry searches: matrix form vs brute force ---
 
 TEST(DistanceMatrix, KrumScoresMatchBruteForce) {
   Rng rng(18);
@@ -186,13 +196,10 @@ TEST(DistanceMatrix, KrumScoresMatchBruteForce) {
   const DistanceMatrix dm(pts);
   const std::size_t closest = 7;
   for (KrumScore flavour : {KrumScore::Euclidean, KrumScore::Squared}) {
-    const auto legacy = krum_scores(pts, closest, flavour);
     const auto shared = krum_scores(dm, closest, flavour);
-    ASSERT_EQ(legacy.size(), shared.size());
-    for (std::size_t i = 0; i < legacy.size(); ++i) {
-      EXPECT_EQ(legacy[i], shared[i]);
-    }
+    ASSERT_EQ(shared.size(), pts.size());
     // Independent reference: sort all distances from i, sum the smallest.
+    // Same values added in the same ascending order, so bit for bit.
     for (std::size_t i = 0; i < pts.size(); ++i) {
       std::vector<double> dists;
       for (std::size_t j = 0; j < pts.size(); ++j) {
@@ -203,7 +210,7 @@ TEST(DistanceMatrix, KrumScoresMatchBruteForce) {
       std::sort(dists.begin(), dists.end());
       double expected = 0.0;
       for (std::size_t k = 0; k < closest; ++k) expected += dists[k];
-      EXPECT_NEAR(shared[i], expected, 1e-12 * (1.0 + std::abs(expected)));
+      EXPECT_EQ(shared[i], expected);
     }
   }
 }
@@ -213,9 +220,9 @@ TEST(DistanceMatrix, MedoidIndexMatchesBruteForce) {
   for (int trial = 0; trial < 20; ++trial) {
     const VectorList pts = random_points(rng, 9, 4);
     std::size_t best = 0;
-    double best_score = medoid_score(pts, 0);
+    double best_score = summed_distances(pts, 0);
     for (std::size_t i = 1; i < pts.size(); ++i) {
-      const double s = medoid_score(pts, i);
+      const double s = summed_distances(pts, i);
       if (s < best_score) {
         best_score = s;
         best = i;

@@ -1,18 +1,15 @@
 // Tests for the model extensions: honest-message delays ("receive up to n
-// messages"), non-finite input hardening, and the IDX dataset loader.
+// messages") and non-finite input hardening.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <limits>
 #include <memory>
 
 #include "aggregation/registry.hpp"
 #include "agreement/protocol.hpp"
 #include "linalg/hyperbox.hpp"
-#include "ml/idx_loader.hpp"
 #include "network/adversary.hpp"
 #include "network/event_network.hpp"
 #include "util/rng.hpp"
@@ -141,7 +138,7 @@ TEST(Delays, BoxGeomAgreementStillConvergesUnderDelays) {
   EXPECT_GT(result.network.messages_delayed, 0u);
   // Validity still holds.
   VectorList honest_inputs(inputs.begin(), inputs.begin() + (n - t));
-  const Hyperbox box = Hyperbox::bounding(honest_inputs);
+  const Hyperbox box = Hyperbox::bounding(GradientBatch::from(honest_inputs));
   for (const auto& out : result.outputs) {
     EXPECT_TRUE(box.contains(out, 1e-6));
   }
@@ -188,101 +185,6 @@ TEST_P(FiniteInputTest, NonFiniteInputsRejected) {
 
 INSTANTIATE_TEST_SUITE_P(AllRules, FiniteInputTest,
                          ::testing::ValuesIn(all_rule_names()));
-
-// --- IDX loader ---
-
-ml::Dataset tiny_gray_dataset() {
-  ml::Dataset data;
-  data.channels = 1;
-  data.height = 2;
-  data.width = 3;
-  data.num_classes = 3;
-  Rng rng(5);
-  for (int i = 0; i < 7; ++i) {
-    Vector img(6);
-    for (auto& v : img) v = rng.uniform();
-    data.images.push_back(img);
-    data.labels.push_back(static_cast<std::uint8_t>(i % 3));
-  }
-  return data;
-}
-
-TEST(Idx, RoundTripPreservesShapeLabelsAndPixels) {
-  const ml::Dataset original = tiny_gray_dataset();
-  const auto bytes = ml::to_idx(original);
-  const ml::Dataset parsed = ml::parse_idx(bytes.images, bytes.labels);
-  EXPECT_EQ(parsed.height, original.height);
-  EXPECT_EQ(parsed.width, original.width);
-  EXPECT_EQ(parsed.size(), original.size());
-  EXPECT_EQ(parsed.labels, original.labels);
-  EXPECT_EQ(parsed.num_classes, original.num_classes);
-  for (std::size_t i = 0; i < parsed.size(); ++i) {
-    for (std::size_t p = 0; p < 6; ++p) {
-      // 8-bit quantization error only.
-      EXPECT_NEAR(parsed.images[i][p], original.images[i][p], 1.0 / 255.0);
-    }
-  }
-}
-
-TEST(Idx, FileRoundTrip) {
-  const ml::Dataset original = tiny_gray_dataset();
-  const auto bytes = ml::to_idx(original);
-  const std::string img_path = "/tmp/bcl_idx_images_test";
-  const std::string lbl_path = "/tmp/bcl_idx_labels_test";
-  {
-    std::ofstream fi(img_path, std::ios::binary);
-    fi << bytes.images;
-    std::ofstream fl(lbl_path, std::ios::binary);
-    fl << bytes.labels;
-  }
-  const ml::Dataset loaded = ml::load_idx_dataset(img_path, lbl_path);
-  EXPECT_EQ(loaded.size(), original.size());
-  EXPECT_EQ(loaded.labels, original.labels);
-  std::remove(img_path.c_str());
-  std::remove(lbl_path.c_str());
-}
-
-TEST(Idx, RejectsBadMagic) {
-  const auto bytes = ml::to_idx(tiny_gray_dataset());
-  std::string corrupted = bytes.images;
-  corrupted[3] = 0x01;  // wrong magic
-  EXPECT_THROW(ml::parse_idx(corrupted, bytes.labels), std::runtime_error);
-  std::string bad_labels = bytes.labels;
-  bad_labels[3] = 0x03;
-  EXPECT_THROW(ml::parse_idx(bytes.images, bad_labels), std::runtime_error);
-}
-
-TEST(Idx, RejectsCountMismatchAndTruncation) {
-  const auto bytes = ml::to_idx(tiny_gray_dataset());
-  std::string fewer_labels = bytes.labels;
-  fewer_labels[7] = 0x03;  // claim 3 labels instead of 7
-  EXPECT_THROW(ml::parse_idx(bytes.images, fewer_labels),
-               std::runtime_error);
-  std::string truncated = bytes.images.substr(0, bytes.images.size() - 2);
-  EXPECT_THROW(ml::parse_idx(truncated, bytes.labels), std::runtime_error);
-  EXPECT_THROW(ml::parse_idx("", bytes.labels), std::runtime_error);
-}
-
-TEST(Idx, MissingFileThrows) {
-  EXPECT_THROW(ml::load_idx_dataset("/nonexistent/img", "/nonexistent/lbl"),
-               std::runtime_error);
-}
-
-TEST(Idx, ColorDatasetRejectedByExporter) {
-  ml::Dataset color;
-  color.channels = 3;
-  color.height = color.width = 2;
-  EXPECT_THROW(ml::to_idx(color), std::invalid_argument);
-}
-
-TEST(Idx, LoadedDatasetFeedsBatchPipeline) {
-  const ml::Dataset original = tiny_gray_dataset();
-  const auto bytes = ml::to_idx(original);
-  const ml::Dataset parsed = ml::parse_idx(bytes.images, bytes.labels);
-  const auto batch = parsed.batch({0, 2, 4});
-  EXPECT_EQ(batch.shape(), (std::vector<std::size_t>{3, 6}));
-  EXPECT_EQ(parsed.batch_labels({1, 3}).size(), 2u);
-}
 
 }  // namespace
 }  // namespace bcl

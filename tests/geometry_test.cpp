@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "geometry/convex2d.hpp"
@@ -14,6 +15,7 @@
 #include "geometry/safe_area.hpp"
 #include "geometry/subsets.hpp"
 #include "geometry/weiszfeld.hpp"
+#include "linalg/gradient_batch.hpp"
 #include "linalg/hyperbox.hpp"
 #include "util/rng.hpp"
 
@@ -70,32 +72,33 @@ TEST(Subsets, GatherPicksIndices) {
 // --- Weiszfeld / geometric median ---
 
 TEST(Weiszfeld, SinglePointIsItself) {
-  const auto r = geometric_median({{3.0, 4.0}});
+  const auto r = geometric_median(GradientBatch::from({{3.0, 4.0}}));
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(r.point, (Vector{3.0, 4.0}));
 }
 
 TEST(Weiszfeld, TwoPointsReturnsMidpoint) {
-  const auto r = geometric_median({{0.0, 0.0}, {2.0, 4.0}});
+  const auto r =
+      geometric_median(GradientBatch::from({{0.0, 0.0}, {2.0, 4.0}}));
   EXPECT_EQ(r.point, (Vector{1.0, 2.0}));
 }
 
 TEST(Weiszfeld, EquilateralTriangleMedianIsCentroid) {
   const VectorList pts{{0.0, 0.0}, {1.0, 0.0}, {0.5, std::sqrt(3.0) / 2.0}};
-  const auto r = geometric_median(pts);
+  const auto r = geometric_median(GradientBatch::from(pts));
   EXPECT_TRUE(r.converged);
   EXPECT_TRUE(approx_equal(r.point, mean(pts), 1e-7));
 }
 
 TEST(Weiszfeld, SquareMedianIsCenter) {
   const VectorList pts{{0.0, 0.0}, {2.0, 0.0}, {2.0, 2.0}, {0.0, 2.0}};
-  const auto r = geometric_median(pts);
+  const auto r = geometric_median(GradientBatch::from(pts));
   EXPECT_TRUE(approx_equal(r.point, {1.0, 1.0}, 1e-7));
 }
 
 TEST(Weiszfeld, CollinearOddPointsMedianIsMiddle) {
   const VectorList pts{{0.0}, {1.0}, {10.0}};
-  const auto r = geometric_median(pts);
+  const auto r = geometric_median(GradientBatch::from(pts));
   EXPECT_NEAR(r.point[0], 1.0, 1e-7);
 }
 
@@ -103,7 +106,7 @@ TEST(Weiszfeld, MajorityPropertyShortCircuits) {
   // 3 of 5 points coincide -> the majority point is the geometric median.
   const VectorList pts{{5.0, 5.0}, {5.0, 5.0}, {5.0, 5.0}, {0.0, 0.0},
                        {9.0, 1.0}};
-  const auto r = geometric_median(pts);
+  const auto r = geometric_median(GradientBatch::from(pts));
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(r.point, (Vector{5.0, 5.0}));
 }
@@ -112,7 +115,7 @@ TEST(Weiszfeld, ObtuseTriangleAnchorsAtVertex) {
   // If one vertex sees the other two at an angle >= 120 degrees, that
   // vertex IS the geometric median (classical Fermat point fact).
   const VectorList pts{{0.0, 0.0}, {10.0, 0.1}, {-10.0, 0.1}};
-  const auto r = geometric_median(pts);
+  const auto r = geometric_median(GradientBatch::from(pts));
   EXPECT_TRUE(approx_equal(r.point, {0.0, 0.0}, 1e-6));
 }
 
@@ -123,20 +126,95 @@ TEST(Weiszfeld, ObjectiveIsMinimalAgainstPerturbations) {
     pts.push_back({rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0),
                    rng.uniform(-4.0, 4.0)});
   }
-  const auto r = geometric_median(pts);
+  const GradientBatch batch = GradientBatch::from(pts);
+  const auto r = geometric_median(batch);
   ASSERT_TRUE(r.converged);
-  const double obj = geometric_median_objective(pts, r.point);
+  const double obj = geometric_median_objective(batch, r.point);
   for (int trial = 0; trial < 30; ++trial) {
     Vector q = r.point;
     for (auto& x : q) x += rng.gaussian(0.0, 0.05);
-    EXPECT_GE(geometric_median_objective(pts, q), obj - 1e-7);
+    EXPECT_GE(geometric_median_objective(batch, q), obj - 1e-7);
   }
 }
 
 TEST(Weiszfeld, ConvergedObjectiveMatchesReportedObjective) {
-  const VectorList pts{{0.0, 1.0}, {1.0, 0.0}, {-1.0, 0.0}, {0.0, -1.0}};
+  const GradientBatch pts =
+      GradientBatch::from({{0.0, 1.0}, {1.0, 0.0}, {-1.0, 0.0}, {0.0, -1.0}});
   const auto r = geometric_median(pts);
   EXPECT_NEAR(r.objective, geometric_median_objective(pts, r.point), 1e-12);
+}
+
+TEST(Weiszfeld, MajorityReturnsFirstRowOfItsClass) {
+  // Rows compare lexicographically, so -0.0 and 0.0 fall in one class of
+  // five rows; its first row by index, (0, 1) with a clear sign bit, is
+  // the median, returned before any iteration.
+  const GradientBatch pts = GradientBatch::from({{0.0, 1.0},
+                                                 {1.0, 0.0},
+                                                 {-0.0, 1.0},
+                                                 {-0.0, 1.0},
+                                                 {2.0, 3.0},
+                                                 {0.0, 1.0},
+                                                 {-0.0, 1.0}});
+  const auto r = geometric_median(pts);
+  EXPECT_TRUE(r.converged);
+  EXPECT_EQ(r.iterations, 0u);
+  EXPECT_EQ(r.point, (Vector{0.0, 1.0}));
+  EXPECT_FALSE(std::signbit(r.point[0]));
+}
+
+TEST(Weiszfeld, RowsViewMatchesOwnedBatchBitwise) {
+  // Each set is interleaved with decoy rows and selected back through
+  // rows_view; the view must reproduce the packed batch bit for bit on
+  // every branch: n = 1, n = 2, the majority test, the plain iteration,
+  // and Kuhn's test at a centroid that is an input point (accepted, or
+  // pushed off).
+  Rng rng(9);
+  VectorList random_rows;
+  for (int i = 0; i < 9; ++i) {
+    Vector p(7);
+    for (auto& x : p) x = rng.uniform(-5.0, 5.0);
+    random_rows.push_back(p);
+  }
+  const std::vector<VectorList> sets{
+      {{1.5, -2.0}},
+      {{0.0, 0.0}, {2.0, 4.0}},
+      {{5.0, 5.0}, {0.0, 0.0}, {5.0, 5.0}, {9.0, 1.0}, {5.0, 5.0}},
+      random_rows,
+      {{0.0, 0.0}, {1.0, 0.0}, {-1.0, 0.0}, {0.0, 1.0}, {0.0, -1.0}},
+      {{0.0, 0.0}, {1.0, 0.0}, {1.0, 0.1}, {1.0, -0.1}, {-3.0, 0.0}}};
+  const auto same_bits = [](const Vector& a, const Vector& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  for (const VectorList& set : sets) {
+    const std::size_t d = set.front().size();
+    VectorList interleaved;
+    std::vector<std::size_t> picks;
+    for (std::size_t i = 0; i < set.size(); ++i) {
+      interleaved.push_back(constant(d, 1e3 + static_cast<double>(i)));
+      picks.push_back(interleaved.size());
+      interleaved.push_back(set[i]);
+    }
+    const GradientBatch owned = GradientBatch::from(interleaved);
+    std::vector<const double*> table;
+    const GradientBatch view = rows_view(owned, picks, table);
+    const GradientBatch packed = GradientBatch::from(set);
+
+    const auto a = geometric_median(packed);
+    const auto b = geometric_median(view);
+    EXPECT_TRUE(same_bits(a.point, b.point)) << "n = " << set.size();
+    EXPECT_EQ(a.iterations, b.iterations);
+    EXPECT_EQ(a.objective, b.objective);
+    const auto sa = smoothed_geometric_median(packed, 1e-3);
+    const auto sb = smoothed_geometric_median(view, 1e-3);
+    EXPECT_TRUE(same_bits(sa.point, sb.point)) << "n = " << set.size();
+    EXPECT_EQ(sa.iterations, sb.iterations);
+    EXPECT_EQ(sa.objective, sb.objective);
+  }
+  // The last two sets reach Kuhn's branch: the cross's centroid is its
+  // optimal anchor, the other set's centroid is pushed off.
+  EXPECT_EQ(geometric_median(GradientBatch::from(sets[4])).iterations, 1u);
+  EXPECT_EQ(geometric_median(GradientBatch::from(sets[5])).iterations, 48u);
 }
 
 TEST(Weiszfeld, EmptyListThrows) {
@@ -152,8 +230,8 @@ TEST(Weiszfeld, TranslationEquivariance) {
   const Vector shift{100.0, -50.0};
   VectorList shifted;
   for (const auto& p : pts) shifted.push_back(add(p, shift));
-  const Vector m1 = geometric_median_point(pts);
-  const Vector m2 = geometric_median_point(shifted);
+  const Vector m1 = geometric_median_point(GradientBatch::from(pts));
+  const Vector m2 = geometric_median_point(GradientBatch::from(shifted));
   EXPECT_TRUE(approx_equal(add(m1, shift), m2, 1e-6));
 }
 
@@ -165,7 +243,7 @@ TEST(Weiszfeld, HighDimensionalCross) {
     pts.push_back(unit(d, j, 1.0));
     pts.push_back(unit(d, j, -1.0));
   }
-  const auto r = geometric_median(pts);
+  const auto r = geometric_median(GradientBatch::from(pts));
   EXPECT_TRUE(approx_equal(r.point, zeros(d), 1e-7));
 }
 
@@ -185,16 +263,17 @@ TEST(Medoid, TieBreaksToLowestIndex) {
 
 TEST(Medoid, ScoreComputation) {
   const VectorList pts{{0.0}, {3.0}, {5.0}};
-  EXPECT_DOUBLE_EQ(medoid_score(pts, 0), 8.0);
-  EXPECT_DOUBLE_EQ(medoid_score(pts, 1), 5.0);
-  EXPECT_THROW(medoid_score(pts, 3), std::invalid_argument);
+  const DistanceMatrix dist(pts);
+  EXPECT_DOUBLE_EQ(medoid_score(dist, 0), 8.0);
+  EXPECT_DOUBLE_EQ(medoid_score(dist, 1), 5.0);
+  EXPECT_THROW(medoid_score(dist, 3), std::invalid_argument);
 }
 
 TEST(Medoid, MedoidDiffersFromGeometricMedianInGeneral) {
   // Theorem 4.3 rests on this: the medoid is constrained to input points.
   const VectorList pts{{0.0, 0.0}, {2.0, 0.0}, {1.0, 2.0}};
   const Vector med = pts[medoid_index(DistanceMatrix(pts))];
-  const Vector geo = geometric_median_point(pts);
+  const Vector geo = geometric_median_point(GradientBatch::from(pts));
   EXPECT_GT(distance(med, geo), 0.1);
 }
 
@@ -481,7 +560,7 @@ TEST_P(WeiszfeldPropertyTest, FirstOrderOptimalityHolds) {
     for (auto& x : p) x = rng.uniform(-3.0, 3.0);
     pts.push_back(p);
   }
-  const auto r = geometric_median(pts);
+  const auto r = geometric_median(GradientBatch::from(pts));
   ASSERT_TRUE(r.converged);
   // Gradient of sum ||v_i - y|| is sum of unit vectors toward y; at the
   // optimum it (sub)vanishes.  Skip anchored cases (handled by Kuhn's
@@ -511,8 +590,9 @@ TEST_P(WeiszfeldPropertyTest, MedianInsideBoundingBox) {
     for (auto& x : p) x = rng.uniform(-10.0, 10.0);
     pts.push_back(p);
   }
-  const auto r = geometric_median(pts);
-  EXPECT_TRUE(Hyperbox::bounding(pts).contains(r.point, 1e-8));
+  const GradientBatch batch = GradientBatch::from(pts);
+  const auto r = geometric_median(batch);
+  EXPECT_TRUE(Hyperbox::bounding(batch).contains(r.point, 1e-8));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WeiszfeldPropertyTest, ::testing::Range(0, 12));

@@ -363,6 +363,29 @@ TEST(GradientBatchView, ReadsMatchOwnedAndMeanIsBitwise) {
   }
 }
 
+TEST(GradientBatchView, RowsViewSelectsRowsInIndexOrder) {
+  // A subset view lends the source's own rows, in selection order,
+  // repeats included, whether the source owns its rows or borrows them.
+  Rng rng(71);
+  const GradientBatch owned = GradientBatch::from(random_points(rng, 5, 3));
+  std::vector<const double*> all;
+  for (std::size_t i = 0; i < owned.rows(); ++i) all.push_back(owned.row(i));
+  const GradientBatch borrowed =
+      GradientBatch::view(all.data(), owned.rows(), owned.dim());
+  const std::vector<std::size_t> picks{3, 0, 3, 4, 1};
+  for (const GradientBatch* source : {&owned, &borrowed}) {
+    std::vector<const double*> table;
+    const GradientBatch subset = rows_view(*source, picks, table);
+    EXPECT_FALSE(subset.contiguous());
+    ASSERT_EQ(subset.rows(), picks.size());
+    EXPECT_EQ(subset.dim(), owned.dim());
+    for (std::size_t k = 0; k < picks.size(); ++k) {
+      EXPECT_EQ(subset.row(k), source->row(picks[k])) << "row " << k;
+    }
+    EXPECT_EQ(rows_view(*source, {}, table).rows(), 0u);
+  }
+}
+
 TEST(GradientBatchView, MutationAndFlatAccessThrow) {
   // A borrowed view must never silently hand out mutable or flat access:
   // the rows belong to the engine's round book, and flat data() would

@@ -100,7 +100,8 @@ TEST(Hyperbox, ConstructionValidatesCorners) {
 
 TEST(Hyperbox, BoundingBoxOfPoints) {
   const Hyperbox box =
-      Hyperbox::bounding({{0.0, 5.0}, {2.0, 1.0}, {-1.0, 3.0}});
+      Hyperbox::bounding(
+          GradientBatch::from({{0.0, 5.0}, {2.0, 1.0}, {-1.0, 3.0}}));
   EXPECT_EQ(box.lo(), (Vector{-1.0, 1.0}));
   EXPECT_EQ(box.hi(), (Vector{2.0, 5.0}));
 }
@@ -261,7 +262,7 @@ TEST_P(HyperboxPropertyTest, MidpointInsideAndEdgesConsistent) {
     for (auto& x : p) x = rng.uniform(-10.0, 10.0);
     points.push_back(p);
   }
-  const Hyperbox box = Hyperbox::bounding(points);
+  const Hyperbox box = Hyperbox::bounding(GradientBatch::from(points));
   EXPECT_TRUE(box.contains(box.midpoint(), 1e-12));
   for (const auto& p : points) EXPECT_TRUE(box.contains(p, 1e-12));
   EXPECT_LE(box.max_edge(), box.diagonal() + 1e-12);
@@ -313,7 +314,7 @@ TEST_P(HyperboxPropertyTest, TrimmedHyperboxShrinksWithMoreTrimming) {
   const Hyperbox outer = trimmed_hyperbox(batch, 8);
   const Hyperbox inner = trimmed_hyperbox(batch, 7);
   EXPECT_TRUE(outer.contains_box(inner, 1e-12));
-  EXPECT_TRUE(Hyperbox::bounding(points).contains_box(outer, 1e-12));
+  EXPECT_TRUE(Hyperbox::bounding(batch).contains_box(outer, 1e-12));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HyperboxPropertyTest,

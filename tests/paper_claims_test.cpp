@@ -302,10 +302,11 @@ TEST(Theorem44, ConvergedOutputsRemainValidApproximations) {
   ASSERT_TRUE(result.converged);
 
   VectorList honest_inputs(inputs.begin(), inputs.begin() + (n - t));
-  const Vector mu_star = geometric_median_point(honest_inputs);
+  const GradientBatch honest = GradientBatch::from(honest_inputs);
+  const Vector mu_star = geometric_median_point(honest);
   // All outputs agree (epsilon) and are inside the honest bounding box;
   // the distance to mu* is bounded by the box diagonal.
-  const Hyperbox box = Hyperbox::bounding(honest_inputs);
+  const Hyperbox box = Hyperbox::bounding(honest);
   for (const auto& out : result.outputs) {
     EXPECT_TRUE(box.contains(out, 1e-6));
     EXPECT_LE(distance(out, mu_star), box.diagonal() + 1e-6);

@@ -36,7 +36,7 @@ VectorList random_points(Rng& rng, std::size_t n, std::size_t d,
 
 TEST(SmoothedWeiszfeld, ApproachesExactMedianAsNuShrinks) {
   Rng rng(1);
-  const VectorList pts = random_points(rng, 9, 3);
+  const GradientBatch pts = GradientBatch::from(random_points(rng, 9, 3));
   const Vector exact = geometric_median_point(pts);
   double previous = 1e300;
   for (const double nu : {1.0, 1e-2, 1e-5}) {
@@ -51,8 +51,8 @@ TEST(SmoothedWeiszfeld, ApproachesExactMedianAsNuShrinks) {
 TEST(SmoothedWeiszfeld, HandlesCoincidentPointsWithoutSingularity) {
   // Exact Weiszfeld needs Kuhn's anchor handling here; the smoothed
   // iteration sails through because weights are capped at 1/nu.
-  const VectorList pts{{0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}, {4.0, 0.0},
-                       {0.0, 4.0}};
+  const GradientBatch pts = GradientBatch::from(
+      {{0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}, {4.0, 0.0}, {0.0, 4.0}});
   const auto result = smoothed_geometric_median(pts, 1e-3);
   EXPECT_TRUE(result.converged);
   EXPECT_LT(distance(result.point, {0.0, 0.0}), 0.05);
@@ -60,14 +60,15 @@ TEST(SmoothedWeiszfeld, HandlesCoincidentPointsWithoutSingularity) {
 
 TEST(SmoothedWeiszfeld, RejectsBadArguments) {
   EXPECT_THROW(smoothed_geometric_median({}, 0.1), std::invalid_argument);
-  EXPECT_THROW(smoothed_geometric_median({{1.0}}, 0.0),
+  EXPECT_THROW(smoothed_geometric_median(GradientBatch::from({{1.0}}), 0.0),
                std::invalid_argument);
-  EXPECT_THROW(smoothed_geometric_median({{1.0}}, -1.0),
+  EXPECT_THROW(smoothed_geometric_median(GradientBatch::from({{1.0}}), -1.0),
                std::invalid_argument);
 }
 
 TEST(SmoothedWeiszfeld, SinglePointIdentity) {
-  const auto result = smoothed_geometric_median({{7.0, -2.0}}, 0.1);
+  const auto result =
+      smoothed_geometric_median(GradientBatch::from({{7.0, -2.0}}), 0.1);
   EXPECT_EQ(result.point, (Vector{7.0, -2.0}));
   EXPECT_TRUE(result.converged);
 }
@@ -79,7 +80,7 @@ TEST(Rfa, MatchesGeometricMedianOnCleanData) {
   const VectorList pts = random_points(rng, 8, 3);
   RfaRule rfa;
   const Vector out = rfa.aggregate(pts, ctx_of(8, 2));
-  const Vector exact = geometric_median_point(pts);
+  const Vector exact = geometric_median_point(GradientBatch::from(pts));
   EXPECT_LT(distance(out, exact), 1e-3 * (1.0 + norm2(exact)));
 }
 
@@ -91,7 +92,9 @@ TEST(Rfa, RobustToOutliers) {
   all.push_back(constant(3, -1000.0));
   RfaRule rfa;
   const Vector out = rfa.aggregate(all, ctx_of(10, 2));
-  EXPECT_TRUE(Hyperbox::bounding(honest).inflated(1.0).contains(out, 1e-6));
+  EXPECT_TRUE(Hyperbox::bounding(GradientBatch::from(honest))
+                  .inflated(1.0)
+                  .contains(out, 1e-6));
 }
 
 // --- centered clipping ---
@@ -165,8 +168,9 @@ TEST_P(ExtendedRuleRobustnessTest, SurvivesColludingOutliers) {
     const Vector out = rule->aggregate(all, ctx_of(10, 2));
     // Outliers in opposite directions: the robust estimate must stay within
     // a moderate blow-up of the honest box (the mean would be at ~2000).
-    EXPECT_TRUE(
-        Hyperbox::bounding(honest).inflated(2.0).contains(out, 1e-6))
+    EXPECT_TRUE(Hyperbox::bounding(GradientBatch::from(honest))
+                    .inflated(2.0)
+                    .contains(out, 1e-6))
         << GetParam();
   }
 }
