@@ -38,19 +38,26 @@ ApproximationReport measure(const VectorList& candidate_set,
 VectorList compute_sgeo(const VectorList& inputs, std::size_t t,
                         ThreadPool* pool, const WeiszfeldOptions& options) {
   const std::size_t keep = subset_size(inputs, t);
-  return subset_aggregates(GradientBatch::from(inputs), keep, pool,
-                           [options](const GradientBatch& subset) {
-                             return geometric_median_point(subset, options);
-                           })
+  const GradientBatch batch = GradientBatch::from(inputs);
+  // One matrix for every subset median, as in BOX-GEOM.
+  const DistanceMatrix distances(batch, pool);
+  return subset_aggregates(
+             batch, keep, pool,
+             [&](const std::vector<std::size_t>& subset) {
+               return geometric_median(batch, distances, subset, options)
+                   .point;
+             })
       .to_vectors();
 }
 
 VectorList compute_smean(const VectorList& inputs, std::size_t t,
                          ThreadPool* pool) {
   const std::size_t keep = subset_size(inputs, t);
-  return subset_aggregates(
-             GradientBatch::from(inputs), keep, pool,
-             [](const GradientBatch& subset) { return mean(subset); })
+  const GradientBatch batch = GradientBatch::from(inputs);
+  return subset_aggregates(batch, keep, pool,
+                           [&batch](const std::vector<std::size_t>& subset) {
+                             return mean_of_rows(batch, subset);
+                           })
       .to_vectors();
 }
 

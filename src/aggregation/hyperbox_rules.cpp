@@ -9,15 +9,14 @@
 
 namespace bcl {
 
-GradientBatch subset_aggregates(
-    const GradientBatch& batch, std::size_t keep, ThreadPool* pool,
-    const std::function<Vector(const GradientBatch&)>& subset_aggregate) {
+GradientBatch subset_aggregates(const GradientBatch& batch, std::size_t keep,
+                                ThreadPool* pool,
+                                const SubsetAggregate& subset_aggregate) {
   const auto combos = all_combinations(batch.rows(), keep);
   GradientBatch points(combos.size(), batch.dim());
-  // Each task owns its view table and writes only its own row.
+  // Each task writes only its own row.
   const auto run = [&](std::size_t c) {
-    std::vector<const double*> table;
-    points.set_row(c, subset_aggregate(rows_view(batch, combos[c], table)));
+    points.set_row(c, subset_aggregate(combos[c]));
   };
   if (pool != nullptr) {
     pool->parallel_for_dynamic(0, combos.size(), run);
@@ -27,13 +26,13 @@ GradientBatch subset_aggregates(
   return points;
 }
 
-Vector hyperbox_aggregate(
-    const GradientBatch& batch, const AggregationContext& ctx,
-    const std::function<Vector(const GradientBatch&)>& subset_aggregate) {
+Vector hyperbox_aggregate(const GradientBatch& batch,
+                          const AggregationContext& ctx,
+                          const SubsetAggregate& subset_aggregate) {
   const std::size_t keep = ctx.keep();
   // TH_i: coordinate-wise trim of |M_i| - (n - t) values per side
   // (Definition 2.5).
-  const Hyperbox trusted = trimmed_hyperbox(batch, keep);
+  const Hyperbox trusted = trimmed_hyperbox(batch, keep, ctx.pool);
   // GH_i (or its mean analogue): bounding box of subset aggregates
   // (Definition 3.5).
   const Hyperbox aggregate_box = Hyperbox::bounding(
@@ -75,17 +74,25 @@ Vector BoxMeanRule::do_aggregate(const GradientBatch& batch,
                                  const AggregationContext& ctx) const {
   return hyperbox_aggregate(
       batch, with_workspace_pool(ctx, workspace),
-      [](const GradientBatch& subset) { return mean(subset); });
+      [&batch](const std::vector<std::size_t>& subset) {
+        return mean_of_rows(batch, subset);
+      });
 }
 
 Vector BoxGeoMedianRule::do_aggregate(const GradientBatch& batch,
                                       AggregationWorkspace& workspace,
                                       const AggregationContext& ctx) const {
-  const WeiszfeldOptions options = options_;
+  const AggregationContext pooled = with_workspace_pool(ctx, workspace);
+  // One matrix per call, the kernel's own: every subset median iterates on
+  // its index block.
+  const DistanceMatrix distances(batch, pooled.pool);
+  const WeiszfeldMetrics metrics(ctx.metrics);
   return hyperbox_aggregate(
-      batch, with_workspace_pool(ctx, workspace),
-      [options](const GradientBatch& subset) {
-        return geometric_median_point(subset, options);
+      batch, pooled, [&](const std::vector<std::size_t>& subset) {
+        WeiszfeldResult median =
+            geometric_median(batch, distances, subset, options_);
+        metrics.record(median);
+        return std::move(median.point);
       });
 }
 

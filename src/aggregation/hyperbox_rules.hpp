@@ -13,7 +13,9 @@
 // BOX-MEAN is the centroid variant of Cambus-Melnyk: GH_i is replaced by the
 // bounding box of subset *means*.
 
+#include <cstddef>
 #include <functional>
+#include <vector>
 
 #include "aggregation/rule.hpp"
 #include "geometry/weiszfeld.hpp"
@@ -21,24 +23,34 @@
 
 namespace bcl {
 
+/// Maps one (n-t)-subset, given as its ascending batch row indices, to
+/// its aggregate point.
+using SubsetAggregate =
+    std::function<Vector(const std::vector<std::size_t>&)>;
+
 /// Computes the per-subset aggregate points used by the hyperbox rules:
 /// row c of the result is the aggregate (mean or geometric median) that
 /// `subset_aggregate` maps the c-th (n-t)-subset of the batch rows to, in
-/// lexicographic subset order.  Each subset reaches it as a rows_view of
-/// the batch.  Subsets are handed out with parallel_for_dynamic when
-/// `pool` is set, else run in a plain loop.
-GradientBatch subset_aggregates(
-    const GradientBatch& batch, std::size_t keep, ThreadPool* pool,
-    const std::function<Vector(const GradientBatch&)>& subset_aggregate);
+/// lexicographic subset order.  Each subset reaches it as its index set,
+/// so the callback reads the batch rows (mean_of_rows) or the index block
+/// of one DistanceMatrix built over the batch (BOX-GEOM's Weiszfeld) in
+/// place.  Subsets are handed out with parallel_for_dynamic when `pool` is
+/// set, else run in a plain loop; the callback must be safe to run
+/// concurrently and keep its scratch per call (no thread_local: a pooled
+/// wait help-drains the queue and may run another task on this thread).
+GradientBatch subset_aggregates(const GradientBatch& batch, std::size_t keep,
+                                ThreadPool* pool,
+                                const SubsetAggregate& subset_aggregate);
 
 /// Shared implementation of the two hyperbox rules: output
-/// mid(trimmed_hyperbox(batch) ∩ bounding_box(subset aggregates)).
+/// mid(trimmed_hyperbox(batch) ∩ bounding_box(subset aggregates)).  TH's
+/// column sorts and the subset fan-out both run on ctx.pool when set.
 /// Throws std::logic_error if the intersection is empty beyond numerical
 /// tolerance (Theorem 4.4 guarantees non-emptiness; a tiny per-coordinate
 /// tolerance absorbs Weiszfeld rounding).
-Vector hyperbox_aggregate(
-    const GradientBatch& batch, const AggregationContext& ctx,
-    const std::function<Vector(const GradientBatch&)>& subset_aggregate);
+Vector hyperbox_aggregate(const GradientBatch& batch,
+                          const AggregationContext& ctx,
+                          const SubsetAggregate& subset_aggregate);
 
 /// BOX-MEAN: hyperbox rule with subset means.  The subset fan-out runs on
 /// the workspace's pool when one is attached, else on ctx.pool.
@@ -53,6 +65,10 @@ class BoxMeanRule final : public AggregationRule {
 };
 
 /// BOX-GEOM: hyperbox rule with subset geometric medians (Algorithm 2).
+/// Each call builds one Gram-trick DistanceMatrix over the inbox (on the
+/// pool when one is attached; never the workspace's matrix) and every
+/// subset's Weiszfeld iterates on its index block of it.  With ctx.metrics
+/// attached it records each subset median in the `weiszfeld.*` metrics.
 class BoxGeoMedianRule final : public AggregationRule {
  public:
   explicit BoxGeoMedianRule(WeiszfeldOptions options = {})

@@ -14,10 +14,15 @@ Vector MinimumDiameterMeanRule::do_aggregate(
 Vector MinimumDiameterGeoMedianRule::do_aggregate(
     const GradientBatch& batch, AggregationWorkspace& workspace,
     const AggregationContext& ctx) const {
+  // The workspace's matrix selects the subset; Weiszfeld reads its rows in
+  // place and builds its own matrix over them, so the median depends only
+  // on those rows.
   const auto md = min_diameter_subset(workspace.distances(), ctx.keep());
-  // Weiszfeld reads the minimum-diameter subset's rows in place.
   std::vector<const double*> table;
-  return geometric_median_point(rows_view(batch, md.indices, table), options_);
+  WeiszfeldResult median =
+      geometric_median(rows_view(batch, md.indices, table), options_);
+  WeiszfeldMetrics(ctx.metrics).record(median);
+  return std::move(median.point);
 }
 
 }  // namespace bcl

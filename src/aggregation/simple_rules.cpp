@@ -1,6 +1,7 @@
 #include "aggregation/simple_rules.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "geometry/medoid.hpp"
 #include "linalg/stats.hpp"
@@ -15,8 +16,10 @@ Vector MeanRule::do_aggregate(const GradientBatch& batch,
 
 Vector GeometricMedianRule::do_aggregate(
     const GradientBatch& batch, AggregationWorkspace& /*workspace*/,
-    const AggregationContext& /*ctx*/) const {
-  return geometric_median_point(batch, options_);
+    const AggregationContext& ctx) const {
+  WeiszfeldResult median = geometric_median(batch, options_);
+  WeiszfeldMetrics(ctx.metrics).record(median);
+  return std::move(median.point);
 }
 
 Vector MedoidRule::do_aggregate(const GradientBatch& batch,

@@ -27,16 +27,18 @@ Vector StickyMinDiameterGeoRound::step(const GradientBatch& batch,
                                        const AggregationContext& ctx) const {
   validate_inbox(batch, workspace, ctx);
   const auto tied = min_diameter_subsets(workspace.distances(), ctx.keep());
+  const WeiszfeldMetrics metrics(ctx.metrics);
   Vector best;
   double best_dist = std::numeric_limits<double>::infinity();
   std::vector<const double*> table;
   for (const auto& candidate : tied) {
-    const Vector median = geometric_median_point(
+    WeiszfeldResult median = geometric_median(
         rows_view(batch, candidate.indices, table), options_);
-    const double d = distance(median, current);
+    metrics.record(median);
+    const double d = distance(median.point, current);
     if (d < best_dist) {
       best_dist = d;
-      best = median;
+      best = std::move(median.point);
     }
   }
   return best;

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/thread_pool.hpp"
+
 namespace bcl {
 
 double kth_smallest(std::vector<double> values, std::size_t k) {
@@ -60,19 +62,22 @@ Vector coordinatewise_trimmed_mean(const VectorList& vs, std::size_t trim) {
 namespace {
 
 // Shared blocked column pass: transposes tiles of kColumnTile columns into
-// `scratch` (column c of the batch becomes the contiguous run
-// scratch[c * m .. c * m + m)), sorts each run ascending, and hands it to
-// `reduce`.  The strided batch traversal happens once per tile row instead
-// of once per coordinate, so the pass streams the batch m * d / tile times
-// less than the naive per-coordinate gather.
-template <typename Reduce>
-Vector blocked_column_pass(const GradientBatch& batch, Reduce&& reduce) {
+// a scratch buffer (column c of the batch becomes the contiguous run
+// scratch[c * m .. c * m + m)), sorts each run ascending, and hands column
+// k's sorted run to `visit(k, sorted, m)`.  The strided batch traversal
+// happens once per tile row instead of once per coordinate, so the pass
+// streams the batch m * d / tile times less than the naive per-coordinate
+// gather.  With a pool the tiles are handed out with parallel_for_dynamic,
+// each task owning its scratch; columns are independent and `visit` writes
+// only column k's outputs, so the result is the serial one bit for bit.
+template <typename Visit>
+void for_each_sorted_column(const GradientBatch& batch, ThreadPool* pool,
+                            Visit&& visit) {
   constexpr std::size_t kColumnTile = 64;
   const std::size_t m = batch.rows();
   const std::size_t d = batch.dim();
-  Vector r(d);
-  std::vector<double> scratch(kColumnTile * m);
-  for (std::size_t k0 = 0; k0 < d; k0 += kColumnTile) {
+  const auto run_tile = [&](std::size_t tile, std::vector<double>& scratch) {
+    const std::size_t k0 = tile * kColumnTile;
     const std::size_t width = std::min(kColumnTile, d - k0);
     for (std::size_t i = 0; i < m; ++i) {
       const double* row = batch.row(i) + k0;
@@ -81,9 +86,29 @@ Vector blocked_column_pass(const GradientBatch& batch, Reduce&& reduce) {
     for (std::size_t c = 0; c < width; ++c) {
       double* column = scratch.data() + c * m;
       std::sort(column, column + m);
-      r[k0 + c] = reduce(column, m);
+      visit(k0 + c, static_cast<const double*>(column), m);
     }
+  };
+  const std::size_t tiles = (d + kColumnTile - 1) / kColumnTile;
+  if (pool != nullptr && tiles > 1) {
+    pool->parallel_for_dynamic(0, tiles, [&](std::size_t tile) {
+      std::vector<double> scratch(kColumnTile * m);
+      run_tile(tile, scratch);
+    });
+  } else {
+    std::vector<double> scratch(kColumnTile * m);
+    for (std::size_t tile = 0; tile < tiles; ++tile) run_tile(tile, scratch);
   }
+}
+
+// One reduction per sorted column, serially.
+template <typename Reduce>
+Vector blocked_column_pass(const GradientBatch& batch, Reduce&& reduce) {
+  Vector r(batch.dim());
+  for_each_sorted_column(
+      batch, nullptr, [&](std::size_t k, const double* sorted, std::size_t m) {
+        r[k] = reduce(sorted, m);
+      });
   return r;
 }
 
@@ -116,7 +141,8 @@ Vector coordinatewise_trimmed_mean(const GradientBatch& batch,
       });
 }
 
-Hyperbox trimmed_hyperbox(const GradientBatch& batch, std::size_t keep) {
+Hyperbox trimmed_hyperbox(const GradientBatch& batch, std::size_t keep,
+                          ThreadPool* pool) {
   const std::size_t m = batch.rows();
   if (keep == 0 || keep > m) {
     throw std::invalid_argument("trimmed_hyperbox: keep must be in [1, m]");
@@ -130,16 +156,13 @@ Hyperbox trimmed_hyperbox(const GradientBatch& batch, std::size_t keep) {
           "trimmed_hyperbox: too few vectors kept relative to trimming");
     }
   }
-  const std::size_t d = batch.dim();
-  Vector lo(d);
-  Vector hi(d);
-  std::vector<double> column(m);
-  for (std::size_t k = 0; k < d; ++k) {
-    for (std::size_t i = 0; i < m; ++i) column[i] = batch.row(i)[k];
-    std::sort(column.begin(), column.end());
-    lo[k] = column[drop];          // (drop+1)-th smallest, 0-indexed
-    hi[k] = column[keep - 1];      // (m-drop)-th smallest = keep-th
-  }
+  Vector lo(batch.dim());
+  Vector hi(batch.dim());
+  for_each_sorted_column(
+      batch, pool, [&](std::size_t k, const double* sorted, std::size_t) {
+        lo[k] = sorted[drop];      // (drop+1)-th smallest, 0-indexed
+        hi[k] = sorted[keep - 1];  // (m-drop)-th smallest = keep-th
+      });
   return Hyperbox(std::move(lo), std::move(hi));
 }
 

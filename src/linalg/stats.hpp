@@ -14,6 +14,8 @@
 
 namespace bcl {
 
+class ThreadPool;
+
 /// k-th smallest of a copy of `values` (0-indexed).  Throws if out of range.
 double kth_smallest(std::vector<double> values, std::size_t k);
 
@@ -46,8 +48,12 @@ Vector coordinatewise_trimmed_mean(const GradientBatch& batch,
 /// (1-indexed), where drop = m - keep and m = batch.rows().
 ///
 /// `keep` is the paper's n - t.  Requires n - t <= m and drop*2 may exceed
-/// the interval only when keep <= drop, which is rejected.
-Hyperbox trimmed_hyperbox(const GradientBatch& batch, std::size_t keep);
+/// the interval only when keep <= drop, which is rejected.  Runs the same
+/// blocked column pass as the coordinate-wise reductions; with a `pool` its
+/// column tiles are handed out with parallel_for_dynamic, and since every
+/// column is sorted on its own the result is the serial one bit for bit.
+Hyperbox trimmed_hyperbox(const GradientBatch& batch, std::size_t keep,
+                          ThreadPool* pool = nullptr);
 
 /// Sample mean and (population) standard deviation of values.
 struct MeanStd {

@@ -11,12 +11,15 @@
 //
 // The distance matrix is either
 //  - built lazily on first use with the Gram-trick batch build, so rules
-//    that never touch pairwise distances (MEAN, CW-MEDIAN, TRIM-MEAN, the
-//    hyperbox and clipping rules) never trigger it; or
+//    that never read it (MEAN, CW-MEDIAN, TRIM-MEAN, the hyperbox,
+//    GEOMED, RFA and clipping rules) never trigger it; or
 //  - borrowed from a producer that already holds it: the agreement
 //    protocol's sub-round share cache (one build for every node whose
 //    inbox matches) and the centralized trainer's sparse Gram build over a
 //    compressed inbox.
+// Weiszfeld never iterates on this matrix (a borrowed one may be a test's
+// per-pair oracle or a sparse Gram): BOX-GEOM builds its own over the
+// batch, and every other median one over its own rows.
 // The batch and a borrowed matrix must outlive the workspace.
 //
 // A workspace is intended for single-threaded use (one node's round);

@@ -16,6 +16,7 @@
 #include "geometry/subsets.hpp"
 #include "geometry/weiszfeld.hpp"
 #include "linalg/stats.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -300,7 +301,9 @@ TEST(BoxRules, SubsetAggregatesMatchSerialAndParallel) {
   Rng rng(10);
   const GradientBatch pts = GradientBatch::from(random_points(rng, 9, 5));
   ThreadPool pool(3);
-  const auto mean_of = [](const GradientBatch& s) { return mean(s); };
+  const auto mean_of = [&pts](const std::vector<std::size_t>& subset) {
+    return mean_of_rows(pts, subset);
+  };
   const GradientBatch serial = subset_aggregates(pts, 7, nullptr, mean_of);
   const GradientBatch parallel = subset_aggregates(pts, 7, &pool, mean_of);
   ASSERT_EQ(serial.rows(), binomial(9, 7));
@@ -308,6 +311,27 @@ TEST(BoxRules, SubsetAggregatesMatchSerialAndParallel) {
   for (std::size_t i = 0; i < serial.rows(); ++i) {
     EXPECT_TRUE(approx_equal(serial.row_copy(i), parallel.row_copy(i), 0.0));
   }
+}
+
+TEST(BoxRules, WeiszfeldMetricsCountEveryMedian) {
+  // BOX-GEOM records each of its C(7, 5) subset medians, GEOMED and
+  // MD-GEOM one each; RFA's smoothed loop records nothing.
+  Rng rng(13);
+  const VectorList pts = random_points(rng, 7, 4);
+  obs::MetricsRegistry registry;
+  AggregationContext ctx = ctx_of(7, 2);
+  ctx.metrics = &registry;
+  make_rule("RFA")->aggregate(pts, ctx);
+  EXPECT_TRUE(registry.snapshot().empty());
+  for (const char* name : {"BOX-GEOM", "GEOMED", "MD-GEOM"}) {
+    make_rule(name)->aggregate(pts, ctx);
+  }
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.histograms.at("weiszfeld.iterations").count,
+            binomial(7, 5) + 2);
+  EXPECT_GT(snap.histograms.at("weiszfeld.iterations").min, 0.0);
+  EXPECT_EQ(snap.counters.at("weiszfeld.coordinate_handoffs"), 0u);
+  EXPECT_EQ(snap.counters.at("weiszfeld.unconverged"), 0u);
 }
 
 TEST(BoxRules, IntersectionNonEmptyUnderAdversarialInputs) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "aggregation/approximation.hpp"
 #include "aggregation/registry.hpp"
@@ -52,6 +54,36 @@ TEST(Sgeo, ParallelMatchesSerial) {
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_TRUE(approx_equal(serial[i], parallel[i], 0.0));
+  }
+}
+
+TEST(Approximation, KrumTrapGeomRulesHitTrueMedianExactly) {
+  // bench_table_approx_ratio's krum-trap family: exactly n - t rows
+  // arrive, so S_geo is the single median mu* of all of them and
+  // r_cov = 0.  A rule then scores ratio 0 only if its output is mu* bit
+  // for bit; anything else is reported as an unbounded ratio.
+  const std::size_t n = 10;
+  const std::size_t t = 2;
+  AggregationContext ctx;
+  ctx.n = n;
+  ctx.t = t;
+  Rng rng(41);
+  for (const std::size_t d : {3u, 24u}) {
+    for (int trial = 0; trial < 5; ++trial) {
+      const VectorList honest = random_points(rng, n - t, d, 1.0);
+      const Vector mu_star =
+          geometric_median_point(GradientBatch::from(honest));
+      for (const std::string name : {"GEOMED", "MD-GEOM", "BOX-GEOM"}) {
+        SCOPED_TRACE(name);
+        const Vector out = make_rule(name)->aggregate(honest, ctx);
+        ASSERT_EQ(out.size(), d);
+        EXPECT_EQ(std::memcmp(out.data(), mu_star.data(), d * sizeof(double)),
+                  0);
+        const auto report = measure_geo_approximation(honest, honest, 0, out);
+        EXPECT_EQ(report.covering_ball.radius, 0.0);
+        EXPECT_EQ(report.ratio, 0.0);
+      }
+    }
   }
 }
 

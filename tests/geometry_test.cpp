@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <string>
 
 #include "geometry/convex2d.hpp"
 #include "geometry/enclosing_ball.hpp"
@@ -15,9 +16,11 @@
 #include "geometry/safe_area.hpp"
 #include "geometry/subsets.hpp"
 #include "geometry/weiszfeld.hpp"
+#include "linalg/distance_matrix.hpp"
 #include "linalg/gradient_batch.hpp"
 #include "linalg/hyperbox.hpp"
 #include "util/rng.hpp"
+#include "weiszfeld_oracle.hpp"
 
 namespace bcl {
 namespace {
@@ -215,6 +218,237 @@ TEST(Weiszfeld, RowsViewMatchesOwnedBatchBitwise) {
   // optimal anchor, the other set's centroid is pushed off.
   EXPECT_EQ(geometric_median(GradientBatch::from(sets[4])).iterations, 1u);
   EXPECT_EQ(geometric_median(GradientBatch::from(sets[5])).iterations, 48u);
+}
+
+TEST(Weiszfeld, SubsetEntryPointRejectsBadInput) {
+  const GradientBatch batch =
+      GradientBatch::from({{0.0, 0.0}, {1.0, 0.0}, {0.0, 1.0}});
+  const DistanceMatrix distances(batch);
+  EXPECT_THROW(geometric_median(batch, distances, {}), std::invalid_argument);
+  EXPECT_THROW(geometric_median(batch, distances, {0, 3}),
+               std::invalid_argument);
+  const DistanceMatrix other(GradientBatch::from({{0.0, 0.0}, {1.0, 0.0}}));
+  EXPECT_THROW(geometric_median(batch, other, {0, 1}), std::invalid_argument);
+}
+
+// --- Weiszfeld against the coordinate-space oracle ---
+
+struct GeneratedSet {
+  std::string name;
+  VectorList rows;
+  double bound;  // on ||median - oracle|| / (1 + spread)
+  // Whether the oracle's own stop test resolves the tolerance; when it
+  // does, iteration counts must agree within +-1.
+  bool oracle_stops = true;
+};
+
+Vector gaussian_row(Rng& rng, std::size_t d, double scale = 1.0) {
+  Vector p(d);
+  for (auto& x : p) x = scale * rng.gaussian();
+  return p;
+}
+
+// The adversarial families of the differential check, n rows in R^d, t of
+// them the "outliers" where a family has any.
+std::vector<GeneratedSet> generated_sets(Rng& rng, std::size_t n,
+                                         std::size_t t, std::size_t d) {
+  std::vector<GeneratedSet> sets;
+  VectorList gaussian;
+  for (std::size_t i = 0; i < n; ++i) gaussian.push_back(gaussian_row(rng, d));
+  sets.push_back({"gaussian", gaussian, 1e-9});
+
+  // A common offset of 1e3 or 1e6 times the spread.  At 1e6 the rows are
+  // quantized at ulp(1e6 * spread) ~ 2e-10 * spread, so the bound is 1e-8.
+  // The oracle's iterates are quantized the same way: it measures a step
+  // only to ~ulp * sqrt(d), which straddles the stop tolerance, so it
+  // stops a few iterations early or wanders to the cap (1000 iterations
+  // where the weight-space loop stops at 12).  Its iteration count is not
+  // compared there.
+  const double spread = Hyperbox::bounding(GradientBatch::from(gaussian))
+                            .diagonal();
+  for (const double factor : {1e3, 1e6}) {
+    const double offset_scale =
+        factor * spread / std::sqrt(static_cast<double>(d));
+    const Vector offset = gaussian_row(rng, d, offset_scale);
+    VectorList shifted;
+    for (const auto& row : gaussian) shifted.push_back(add(row, offset));
+    sets.push_back({factor == 1e6 ? "offset-1e6" : "offset-1e3", shifted,
+                    factor == 1e6 ? 1e-8 : 1e-9, factor != 1e6});
+  }
+
+  // A tight cluster of n - t rows plus t far outliers.
+  for (const double radius : {1e-3, 1e-6, 1e-9}) {
+    const Vector centre = gaussian_row(rng, d);
+    VectorList rows;
+    for (std::size_t i = 0; i < n - t; ++i) {
+      rows.push_back(add(centre, gaussian_row(rng, d, radius)));
+    }
+    for (std::size_t i = 0; i < t; ++i) {
+      rows.push_back(add(centre, gaussian_row(rng, d, 1e3)));
+    }
+    sets.push_back({"cluster", rows, 1e-9});
+  }
+
+  // Sign-flip: a cluster plus two rows at -4x its centre.
+  {
+    const Vector centre = add(constant(d, 2.0), gaussian_row(rng, d, 0.5));
+    VectorList rows;
+    for (std::size_t i = 0; i + 2 < n; ++i) {
+      rows.push_back(add(centre, gaussian_row(rng, d, 0.1)));
+    }
+    rows.push_back(scale(centre, -4.0));
+    rows.push_back(scale(centre, -4.0));
+    sets.push_back({"sign-flip", rows, 1e-9});
+  }
+
+  // Exact duplicates, and near duplicates 1e-12 apart.
+  {
+    VectorList exact;
+    VectorList near;
+    for (std::size_t i = 0; i < n; ++i) {
+      exact.push_back(gaussian[i / 2]);
+      near.push_back(i % 2 == 0 ? gaussian[i / 2]
+                                : add(gaussian[i / 2],
+                                      gaussian_row(rng, d, 1e-12)));
+    }
+    sets.push_back({"duplicates", exact, 1e-9});
+    sets.push_back({"near-duplicates", near, 1e-9});
+  }
+
+  // Collinear rows: with an odd count the median is an input row, which
+  // the iterate approaches until the weight-space loop hands off.
+  {
+    const Vector base = gaussian_row(rng, d);
+    const Vector direction = gaussian_row(rng, d);
+    VectorList rows;
+    for (std::size_t i = 0; i < n; ++i) {
+      rows.push_back(add(base, scale(direction, rng.uniform(-1.0, 1.0))));
+    }
+    sets.push_back({"collinear", rows, 1e-9});
+  }
+
+  // The centroid lands on an input: c twice (when n is even) and
+  // symmetric pairs c +- v.
+  {
+    const Vector c = gaussian_row(rng, d);
+    VectorList rows{c};
+    if (n % 2 == 0) rows.push_back(c);
+    while (rows.size() < n) {
+      const Vector v = gaussian_row(rng, d);
+      rows.push_back(add(c, v));
+      rows.push_back(sub(c, v));
+    }
+    sets.push_back({"centroid-on-input", rows, 1e-9});
+  }
+
+  for (const double magnitude : {1e-150, 1e150}) {
+    VectorList rows;
+    for (const auto& row : gaussian) rows.push_back(scale(row, magnitude));
+    sets.push_back({"scaled", rows, 1e-9});
+  }
+  return sets;
+}
+
+TEST(WeiszfeldOracle, EveryEntryPointMatchesCoordinateOracle) {
+  // Every (n - t)-subset of every generated set, through the subset entry
+  // point (one matrix over the whole set) and the points entry point (its
+  // own matrix over the packed subset): within the set's bound of the
+  // coordinate-space oracle, and within +-1 of its iteration count.
+  struct Shape {
+    std::size_t n, t, d;
+  };
+  const std::vector<Shape> shapes{{10, 1, 3}, {10, 2, 50}, {9, 2, 7},
+                                  {7, 2, 2},  {10, 3, 1000}, {5, 1, 1}};
+  Rng rng(2024);
+  std::size_t handoffs = 0;
+  for (const Shape& shape : shapes) {
+    for (const GeneratedSet& set :
+         generated_sets(rng, shape.n, shape.t, shape.d)) {
+      const GradientBatch batch = GradientBatch::from(set.rows);
+      const DistanceMatrix distances(batch);
+      for (const auto& subset : all_combinations(shape.n, shape.n - shape.t)) {
+        VectorList picked;
+        for (const std::size_t i : subset) picked.push_back(set.rows[i]);
+        const GradientBatch packed = GradientBatch::from(picked);
+        const double spread = Hyperbox::bounding(packed).diagonal();
+        const WeiszfeldResult oracle = test::oracle_geometric_median(packed);
+        const WeiszfeldResult via_subset =
+            geometric_median(batch, distances, subset);
+        const WeiszfeldResult via_points = geometric_median(packed);
+        for (const WeiszfeldResult* r : {&via_subset, &via_points}) {
+          SCOPED_TRACE(set.name + " n=" + std::to_string(shape.n) +
+                       " t=" + std::to_string(shape.t) +
+                       " d=" + std::to_string(shape.d));
+          EXPECT_LE(distance(r->point, oracle.point),
+                    set.bound * (1.0 + spread));
+          if (set.oracle_stops) {
+            EXPECT_LE(r->iterations, oracle.iterations + 1);
+            EXPECT_GE(r->iterations + 1, oracle.iterations);
+            EXPECT_EQ(r->converged, oracle.converged);
+          }
+          if (r->coordinate_handoff) ++handoffs;
+        }
+      }
+    }
+  }
+  // The collinear and clustered families reach the hand-off.
+  EXPECT_GT(handoffs, 0u);
+}
+
+TEST(WeiszfeldOracle, AboveRowBoundMatchesOracleBitwise) {
+  // Past 128 rows the points entry point runs the coordinate loop from
+  // the centroid: the oracle's arithmetic, bit for bit.
+  Rng rng(77);
+  VectorList rows;
+  for (std::size_t i = 0; i < 150; ++i) rows.push_back(gaussian_row(rng, 6));
+  const GradientBatch batch = GradientBatch::from(rows);
+  const WeiszfeldResult oracle = test::oracle_geometric_median(batch);
+  const WeiszfeldResult r = geometric_median(batch);
+  ASSERT_EQ(r.point.size(), oracle.point.size());
+  EXPECT_EQ(std::memcmp(r.point.data(), oracle.point.data(),
+                        r.point.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(r.iterations, oracle.iterations);
+  EXPECT_EQ(r.objective, oracle.objective);
+  EXPECT_TRUE(r.converged);
+  EXPECT_FALSE(r.coordinate_handoff);
+}
+
+TEST(WeiszfeldOracle, OverflowingDistancesFollowOracleBitwise) {
+  // A row at 1e160 overflows every squared distance to it, so the
+  // weight-space identity is not finite: the loop hands off at iteration
+  // 0 and returns exactly what the coordinate loop does.
+  Rng rng(5);
+  VectorList rows;
+  for (std::size_t i = 0; i < 9; ++i) rows.push_back(gaussian_row(rng, 3));
+  rows.push_back(constant(3, 1e160));
+  const GradientBatch batch = GradientBatch::from(rows);
+  const WeiszfeldResult oracle = test::oracle_geometric_median(batch);
+  const WeiszfeldResult r = geometric_median(batch);
+  EXPECT_EQ(std::memcmp(r.point.data(), oracle.point.data(),
+                        r.point.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(r.iterations, oracle.iterations);
+  EXPECT_TRUE(r.coordinate_handoff);
+}
+
+TEST(Weiszfeld, SubsetEntryOverEveryRowMatchesPointsBitwise) {
+  Rng rng(31);
+  for (const std::size_t n : {3u, 8u, 40u}) {
+    VectorList rows;
+    for (std::size_t i = 0; i < n; ++i) rows.push_back(gaussian_row(rng, 5));
+    const GradientBatch batch = GradientBatch::from(rows);
+    std::vector<std::size_t> all(n);
+    for (std::size_t i = 0; i < n; ++i) all[i] = i;
+    const WeiszfeldResult a = geometric_median(batch);
+    const WeiszfeldResult b =
+        geometric_median(batch, DistanceMatrix(batch), all);
+    EXPECT_EQ(std::memcmp(a.point.data(), b.point.data(),
+                          a.point.size() * sizeof(double)),
+              0);
+    EXPECT_EQ(a.iterations, b.iterations);
+    EXPECT_EQ(a.objective, b.objective);
+  }
 }
 
 TEST(Weiszfeld, EmptyListThrows) {

@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "linalg/hyperbox.hpp"
 #include "linalg/stats.hpp"
 #include "linalg/vector_ops.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace bcl {
 namespace {
@@ -240,6 +242,32 @@ TEST(Stats, TrimmedHyperboxRejectsOverTrimming) {
   EXPECT_THROW(trimmed_hyperbox(vs, 2), std::invalid_argument);
   EXPECT_THROW(trimmed_hyperbox(vs, 0), std::invalid_argument);
   EXPECT_THROW(trimmed_hyperbox(vs, 5), std::invalid_argument);
+}
+
+TEST(Stats, PooledTrimmedHyperboxMatchesSerialBitwise) {
+  // d spans several 64-column tiles plus a ragged one; signed zeros make
+  // the sort's placement of equal values visible in the bits.
+  Rng rng(12);
+  const std::size_t m = 10;
+  const std::size_t d = 64 * 5 + 17;
+  GradientBatch batch(m, d);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t k = 0; k < d; ++k) {
+      const double x = rng.uniform(-2.0, 2.0);
+      batch.row(i)[k] = k % 7 == 0 ? (i % 2 == 0 ? 0.0 : -0.0) : x;
+    }
+  }
+  ThreadPool pool(3);
+  for (const std::size_t keep : {6u, 8u, 10u}) {
+    const Hyperbox serial = trimmed_hyperbox(batch, keep);
+    const Hyperbox pooled = trimmed_hyperbox(batch, keep, &pool);
+    EXPECT_EQ(std::memcmp(serial.lo().data(), pooled.lo().data(),
+                          d * sizeof(double)),
+              0);
+    EXPECT_EQ(std::memcmp(serial.hi().data(), pooled.hi().data(),
+                          d * sizeof(double)),
+              0);
+  }
 }
 
 TEST(Stats, MeanStd) {
