@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "aggregation/hyperbox_rules.hpp"
+#include "util/thread_pool.hpp"
 
 namespace bcl {
 
@@ -15,6 +16,22 @@ std::size_t subset_size(const VectorList& inputs, std::size_t t) {
     throw std::invalid_argument("compute_sgeo/compute_smean: t must be < n");
   }
   return inputs.size() - t;
+}
+
+// Every form's point, as one row each (on `pool` when set).
+VectorList materialize_all(const GradientBatch& batch,
+                           const std::vector<MedianForm>& forms,
+                           ThreadPool* pool) {
+  VectorList points(forms.size());
+  const auto run = [&](std::size_t c) {
+    points[c] = materialize(forms[c], batch);
+  };
+  if (pool != nullptr) {
+    pool->parallel_for_dynamic(0, forms.size(), run);
+  } else {
+    for (std::size_t c = 0; c < forms.size(); ++c) run(c);
+  }
+  return points;
 }
 
 ApproximationReport measure(const VectorList& candidate_set,
@@ -38,27 +55,21 @@ ApproximationReport measure(const VectorList& candidate_set,
 VectorList compute_sgeo(const VectorList& inputs, std::size_t t,
                         ThreadPool* pool, const WeiszfeldOptions& options) {
   const std::size_t keep = subset_size(inputs, t);
+  check_subset_budget("compute_sgeo", inputs.size(), keep);
   const GradientBatch batch = GradientBatch::from(inputs);
-  // One matrix for every subset median, as in BOX-GEOM.
-  const DistanceMatrix distances(batch, pool);
-  return subset_aggregates(
-             batch, keep, pool,
-             [&](const std::vector<std::size_t>& subset) {
-               return geometric_median(batch, distances, subset, options)
-                   .point;
-             })
-      .to_vectors();
+  // BOX-GEOM's subset medians, materialized.
+  const OrderStatistics table(batch, batch.rows() - keep + 1, pool);
+  return materialize_all(
+      batch, subset_geometric_medians(batch, keep, table, pool, options),
+      pool);
 }
 
 VectorList compute_smean(const VectorList& inputs, std::size_t t,
                          ThreadPool* pool) {
   const std::size_t keep = subset_size(inputs, t);
+  check_subset_budget("compute_smean", inputs.size(), keep);
   const GradientBatch batch = GradientBatch::from(inputs);
-  return subset_aggregates(batch, keep, pool,
-                           [&batch](const std::vector<std::size_t>& subset) {
-                             return mean_of_rows(batch, subset);
-                           })
-      .to_vectors();
+  return materialize_all(batch, subset_means(batch, keep), pool);
 }
 
 ApproximationReport measure_geo_approximation(

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 
@@ -43,73 +43,42 @@ double row_distance(const double* row, const Vector& y) {
   return std::sqrt(s);
 }
 
-// The converged (or last) iterate y: point, flag and objective.
-void finish(const GradientBatch& points, Vector y, bool converged,
-            WeiszfeldResult& result) {
-  result.objective = geometric_median_objective(points, y);
-  result.point = std::move(y);
-  result.converged = converged;
-}
-
-// The closed forms, tried before any iteration: n = 1, the n = 2 midpoint,
-// the majority map and zero spread.  Returns true with `result` filled
-// when one applies; otherwise sets `spread` to the bounding-box diagonal
-// of the rows.
-bool closed_form(const GradientBatch& points, WeiszfeldResult& result,
-                 double& spread) {
-  const std::size_t d = points.dim();
-  const std::size_t n = points.rows();
-  if (n == 1) {
-    result.point = points.row_copy(0);
-    result.converged = true;
-    return true;
+// Three-way lexicographic compare of two rows, with equal meaning equal
+// under == in every coordinate (so -0.0 == 0.0).  NaN sorts after every
+// number and equals NaN, which keeps the order a strict weak one.
+// Bitwise-equal rows, the common equal case, are settled by memcmp.
+int compare_rows(const double* a, const double* b, std::size_t d) {
+  if (std::memcmp(a, b, d * sizeof(double)) == 0) return 0;
+  for (std::size_t k = 0; k < d; ++k) {
+    const double x = a[k];
+    const double y = b[k];
+    if (x == y) continue;
+    if (x < y) return -1;
+    if (y < x) return 1;
+    const bool x_nan = std::isnan(x);
+    if (x_nan != std::isnan(y)) return x_nan ? 1 : -1;
   }
-  if (n == 2) {
-    finish(points, scale(add(points.row_copy(0), points.row_copy(1)), 0.5),
-           true, result);
-    return true;
-  }
-
-  // Majority property: if some point has multiplicity > n/2 it is the
-  // geometric median.  Rows are keyed by lexicographic comparison, so the
-  // key of each class is its first row.
-  {
-    const auto row_less = [d](const double* a, const double* b) {
-      return std::lexicographical_compare(a, a + d, b, b + d);
-    };
-    std::map<const double*, std::size_t, decltype(row_less)> counts(row_less);
-    for (std::size_t i = 0; i < n; ++i) ++counts[points.row(i)];
-    for (const auto& [p, c] : counts) {
-      if (2 * c > n) {
-        finish(points, Vector(p, p + d), true, result);
-        return true;
-      }
-    }
-  }
-
-  spread = Hyperbox::bounding(points).diagonal();
-  if (spread == 0.0) {
-    // All points identical (not caught above only if n is even and split
-    // impossible; defensive).
-    result.point = points.row_copy(0);
-    result.converged = true;
-    return true;
-  }
-  return false;
+  return 0;
 }
 
 // The Kuhn-modified coordinate-space loop from iterate y at iteration
 // `first`: the centroid at iteration 0 past the row bound, or the
-// weight-space loop's iterate at a hand-off.
+// weight-space loop's iterate at a hand-off.  Leaves a kPoint form.
 void coordinate_loop(const GradientBatch& points, Vector y, std::size_t first,
                      double spread, const WeiszfeldOptions& options,
-                     WeiszfeldResult& result) {
+                     MedianForm& form) {
+  // The last (or converged) iterate.
+  const auto finish = [&form](Vector point, bool converged) {
+    form.kind = MedianForm::Kind::kPoint;
+    form.point = std::move(point);
+    form.converged = converged;
+  };
   const std::size_t d = points.dim();
   const std::size_t n = points.rows();
   const double step_tol = options.tolerance * (1.0 + spread);
   const double snap = 1e-14 * (1.0 + spread);
   for (std::size_t it = first; it < options.max_iterations; ++it) {
-    result.iterations = it + 1;
+    form.iterations = it + 1;
     Vector numerator = zeros(d);
     double denominator = 0.0;
     std::size_t anchor_multiplicity = 0;  // rows within snap of y
@@ -133,7 +102,7 @@ void coordinate_loop(const GradientBatch& points, Vector y, std::size_t first,
       // geometric median iff ||pull|| <= multiplicity of the anchor.
       const double pull_norm = norm2(pull);
       if (pull_norm <= static_cast<double>(anchor_multiplicity) + 1e-12) {
-        finish(points, std::move(y), true, result);
+        finish(std::move(y), true);
         return;
       }
       // Otherwise push y off the anchor along the pull direction by the
@@ -145,7 +114,7 @@ void coordinate_loop(const GradientBatch& points, Vector y, std::size_t first,
       const double step = distance(next, y);
       y = std::move(next);
       if (step <= step_tol) {
-        finish(points, std::move(y), true, result);
+        finish(std::move(y), true);
         return;
       }
       continue;
@@ -154,11 +123,11 @@ void coordinate_loop(const GradientBatch& points, Vector y, std::size_t first,
     const double step = distance(next, y);
     y = std::move(next);
     if (step <= step_tol) {
-      finish(points, std::move(y), true, result);
+      finish(std::move(y), true);
       return;
     }
   }
-  finish(points, std::move(y), false, result);
+  finish(std::move(y), false);
 }
 
 // out = block * x for the s x s row-major block.
@@ -170,16 +139,13 @@ void block_times(const std::vector<double>& block, const std::vector<double>& x,
   }
 }
 
-// The weight-space loop over `points`, whose squared pairwise distances are
-// distances.dist2(indices[a], indices[b]).  Every vector here is this
-// call's own, so concurrent subset tasks share nothing but the matrix.
-void weight_space_loop(const GradientBatch& points,
-                       const DistanceMatrix& distances,
-                       const std::vector<std::size_t>& indices, double spread,
-                       const WeiszfeldOptions& options,
-                       WeiszfeldResult& result) {
-  const std::size_t s = points.rows();
-  const std::size_t d = points.dim();
+}  // namespace
+
+MedianForm weiszfeld_median(const GradientBatch& batch,
+                            const DistanceMatrix& distances,
+                            const std::vector<std::size_t>& indices,
+                            double spread, const WeiszfeldOptions& options) {
+  const std::size_t s = indices.size();
   std::vector<double> block(s * s);
   for (std::size_t a = 0; a < s; ++a) {
     for (std::size_t b = 0; b < s; ++b) {
@@ -190,24 +156,33 @@ void weight_space_loop(const GradientBatch& points,
 
   // The iterate is lambda = w / denominator, and y is the coordinate
   // loop's quotient of the same weights; before the first step (no
-  // denominator yet) it is the centroid.
+  // denominator yet) it is the centroid.  Every vector here is this
+  // call's own, so concurrent subset tasks share nothing but the matrix.
   std::vector<double> lambda(s, 1.0 / static_cast<double>(s));
   std::vector<double> w(s);
   std::vector<double> next_w(s);
   std::vector<double> d_lambda(s);
   std::vector<double> delta(s);
   double denominator = 0.0;
+  std::size_t iterations = 0;
   const auto iterate = [&] {
-    if (denominator == 0.0) return mean(points);
-    Vector numerator = zeros(d);
-    for (std::size_t j = 0; j < s; ++j) {
-      kernels::axpy(numerator.data(), w[j], points.row(j), d);
-    }
-    return scale(numerator, 1.0 / denominator);
+    if (denominator == 0.0) return MedianForm::mean(indices);
+    MedianForm form;
+    form.kind = MedianForm::Kind::kWeights;
+    form.rows = indices;
+    form.weights = w;
+    form.denominator = denominator;
+    return form;
+  };
+  const auto finish = [&](bool converged) {
+    MedianForm form = iterate();
+    form.iterations = iterations;
+    form.converged = converged;
+    return form;
   };
 
   for (std::size_t it = 0; it < options.max_iterations; ++it) {
-    result.iterations = it + 1;
+    iterations = it + 1;
     block_times(block, lambda, d_lambda);
     const double half_energy = 0.5 * kernels::dot_seq(lambda.data(),
                                                       d_lambda.data(), s);
@@ -217,9 +192,14 @@ void weight_space_loop(const GradientBatch& points,
       // Written so that a non-finite identity (squared distances past
       // DBL_MAX) hands off too, to the coordinate loop's handling.
       if (!(dist2 > kHandoffGuard * d_lambda[k])) {
-        result.coordinate_handoff = true;
-        coordinate_loop(points, iterate(), it, spread, options, result);
-        return;
+        MedianForm form;
+        form.iterations = iterations;
+        form.coordinate_handoff = true;
+        std::vector<const double*> table;
+        coordinate_loop(rows_view(batch, indices, table),
+                        materialize(iterate(), batch), it, spread, options,
+                        form);
+        return form;
       }
       next_w[k] = 1.0 / std::sqrt(dist2);
       next_denominator += next_w[k];
@@ -235,12 +215,120 @@ void weight_space_loop(const GradientBatch& points,
     block_times(block, delta, d_lambda);
     const double step2 =
         -0.5 * kernels::dot_seq(delta.data(), d_lambda.data(), s);
-    if (std::sqrt(std::max(0.0, step2)) <= step_tol) {
-      finish(points, iterate(), true, result);
-      return;
-    }
+    if (std::sqrt(std::max(0.0, step2)) <= step_tol) return finish(true);
   }
-  finish(points, iterate(), false, result);
+  return finish(false);
+}
+
+MedianForm MedianForm::row(std::size_t i) {
+  MedianForm form;
+  form.rows = {i};
+  return form;
+}
+
+MedianForm MedianForm::midpoint(std::size_t a, std::size_t b) {
+  MedianForm form;
+  form.kind = Kind::kMidpoint;
+  form.rows = {a, b};
+  return form;
+}
+
+MedianForm MedianForm::mean(const std::vector<std::size_t>& rows) {
+  MedianForm form;
+  form.kind = Kind::kWeights;
+  form.rows = rows;
+  form.weights.assign(rows.size(), 1.0);
+  form.denominator = static_cast<double>(rows.size());
+  return form;
+}
+
+const double* median_slice(const MedianForm& form, const GradientBatch& batch,
+                           std::size_t k0, std::size_t k1, double* scratch) {
+  const std::size_t width = k1 - k0;
+  switch (form.kind) {
+    case MedianForm::Kind::kRow:
+      return batch.row(form.rows[0]) + k0;
+    case MedianForm::Kind::kPoint:
+      return form.point.data() + k0;
+    case MedianForm::Kind::kMidpoint: {
+      const double* a = batch.row(form.rows[0]) + k0;
+      const double* b = batch.row(form.rows[1]) + k0;
+      for (std::size_t c = 0; c < width; ++c) scratch[c] = 0.5 * (a[c] + b[c]);
+      return scratch;
+    }
+    case MedianForm::Kind::kWeights:
+      break;
+  }
+  std::fill(scratch, scratch + width, 0.0);
+  for (std::size_t j = 0; j < form.rows.size(); ++j) {
+    kernels::axpy(scratch, form.weights[j], batch.row(form.rows[j]) + k0,
+                  width);
+  }
+  kernels::scale_inplace(scratch, 1.0 / form.denominator, width);
+  return scratch;
+}
+
+Vector materialize(const MedianForm& form, const GradientBatch& batch) {
+  Vector out(batch.dim());
+  const double* p = median_slice(form, batch, 0, out.size(), out.data());
+  if (p != out.data()) std::copy(p, p + out.size(), out.begin());
+  return out;
+}
+
+RowClasses::RowClasses(const GradientBatch& batch) : class_of_(batch.rows()) {
+  const std::size_t d = batch.dim();
+  std::vector<std::size_t> order(batch.rows());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const int c = compare_rows(batch.row(a), batch.row(b), d);
+    return c != 0 ? c < 0 : a < b;
+  });
+  // Equal rows are adjacent, the least index first.
+  for (std::size_t p = 0; p < order.size(); ++p) {
+    const std::size_t i = order[p];
+    const bool joins = p > 0 && compare_rows(batch.row(order[p - 1]),
+                                             batch.row(i), d) == 0;
+    class_of_[i] = joins ? class_of_[order[p - 1]] : i;
+  }
+}
+
+std::optional<std::size_t> RowClasses::majority(
+    const std::vector<std::size_t>& indices) const {
+  // A majority class has a member among the first ceil(s / 2) positions,
+  // and counting from its first member counts all of it.
+  const std::size_t s = indices.size();
+  for (std::size_t j = 0; 2 * j < s; ++j) {
+    const std::size_t cls = class_of_[indices[j]];
+    std::size_t count = 0;
+    for (std::size_t l = j; l < s; ++l) count += class_of_[indices[l]] == cls;
+    if (2 * count > s) return indices[j];
+  }
+  return std::nullopt;
+}
+
+std::optional<MedianForm> closed_form_median(
+    const RowClasses& classes, const std::vector<std::size_t>& indices) {
+  if (indices.size() == 1) return MedianForm::row(indices[0]);
+  if (indices.size() == 2) return MedianForm::midpoint(indices[0], indices[1]);
+  if (const auto row = classes.majority(indices)) return MedianForm::row(*row);
+  return std::nullopt;
+}
+
+namespace {
+
+// The public result of a form over `batch`: its point, counts and the
+// objective over `points`, the median's rows in order.
+WeiszfeldResult to_result(MedianForm form, const GradientBatch& batch,
+                          const GradientBatch& points) {
+  WeiszfeldResult result;
+  result.point = form.kind == MedianForm::Kind::kPoint
+                     ? std::move(form.point)
+                     : materialize(form, batch);
+  result.iterations = form.iterations;
+  result.converged = form.converged;
+  result.coordinate_handoff = form.coordinate_handoff;
+  result.objective = geometric_median_objective(points, result.point);
+  return result;
 }
 
 }  // namespace
@@ -263,18 +351,23 @@ WeiszfeldResult geometric_median(const GradientBatch& points,
   if (points.empty()) {
     throw std::invalid_argument("geometric_median: empty point list");
   }
-  WeiszfeldResult result;
-  double spread = 0.0;
-  if (closed_form(points, result, spread)) return result;
-  if (points.rows() > kWeightSpaceMaxRows) {
-    coordinate_loop(points, mean(points), 0, spread, options, result);
-    return result;
-  }
   std::vector<std::size_t> all(points.rows());
   std::iota(all.begin(), all.end(), std::size_t{0});
-  weight_space_loop(points, DistanceMatrix(points), all, spread, options,
-                    result);
-  return result;
+  std::optional<MedianForm> form = closed_form_median(RowClasses(points), all);
+  if (!form) {
+    const double spread = Hyperbox::bounding(points).diagonal();
+    if (spread == 0.0) {
+      // Rows equal up to an underflowing difference.
+      form = MedianForm::row(0);
+    } else if (points.rows() > kWeightSpaceMaxRows) {
+      form.emplace();
+      coordinate_loop(points, mean(points), 0, spread, options, *form);
+    } else {
+      form = weiszfeld_median(points, DistanceMatrix(points), all, spread,
+                              options);
+    }
+  }
+  return to_result(std::move(*form), points, points);
 }
 
 WeiszfeldResult geometric_median(const GradientBatch& batch,
@@ -295,11 +388,15 @@ WeiszfeldResult geometric_median(const GradientBatch& batch,
   }
   std::vector<const double*> table;
   const GradientBatch points = rows_view(batch, indices, table);
-  WeiszfeldResult result;
-  double spread = 0.0;
-  if (closed_form(points, result, spread)) return result;
-  weight_space_loop(points, distances, indices, spread, options, result);
-  return result;
+  std::optional<MedianForm> form =
+      closed_form_median(RowClasses(batch), indices);
+  if (!form) {
+    const double spread = Hyperbox::bounding(points).diagonal();
+    form = spread == 0.0 ? MedianForm::row(indices[0])
+                         : weiszfeld_median(batch, distances, indices, spread,
+                                            options);
+  }
+  return to_result(std::move(*form), batch, points);
 }
 
 Vector geometric_median_point(const GradientBatch& points,
@@ -361,6 +458,13 @@ void WeiszfeldMetrics::record(const WeiszfeldResult& result) const {
   iterations_->record(static_cast<double>(result.iterations));
   if (result.coordinate_handoff) handoffs_->add();
   if (!result.converged) unconverged_->add();
+}
+
+void WeiszfeldMetrics::record(const MedianForm& form) const {
+  if (iterations_ == nullptr) return;
+  iterations_->record(static_cast<double>(form.iterations));
+  if (form.coordinate_handoff) handoffs_->add();
+  if (!form.converged) unconverged_->add();
 }
 
 }  // namespace bcl

@@ -28,17 +28,28 @@
 // happens at iteration 0) and continues in the coordinate-space loop, which
 // keeps Kuhn's anchor test and push; the iteration count carries on.
 //
-// Two entry points share that loop.  geometric_median(batch, distances,
-// indices) reads the index block of one DistanceMatrix built over the whole
-// batch, so the C(n, n - t) subset medians of the hyperbox rules pay for
-// one O(n^2 d) build; geometric_median(points) builds a private Gram-trick
-// DistanceMatrix over its own rows.  The matrix is always a Gram-trick
+// A median is first computed as a *form* (MedianForm), not a vector: one
+// batch row (n = 1, a majority class, zero spread), a two-row midpoint,
+// the weight-space loop's final weights, or the coordinate loop's
+// materialized point after a hand-off.  A form's point is written slice by
+// slice with the arithmetic the full-length materialization uses, so the
+// hyperbox rules fold C(n, n - t) subset medians into their bounding box
+// one coordinate tile at a time without ever holding C x d values, and
+// the majority closed form costs nothing per subset once the batch's row
+// classes (RowClasses) are known.
+//
+// Two public entry points share those pieces and materialize the form.
+// geometric_median(batch, distances, indices) reads the index block of one
+// DistanceMatrix built over the whole batch; geometric_median(points)
+// builds a private Gram-trick DistanceMatrix over its own rows.  Only these
+// two compute the Fermat objective.  The matrix is always a Gram-trick
 // build made for the kernel, never a workspace's (which may be a test's
 // per-pair oracle or a sparse Gram), so no result depends on how a
 // caller's workspace was built.  The points are GradientBatch rows, owned
 // or a borrowed view, read in place.
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "linalg/distance_matrix.hpp"
@@ -72,12 +83,83 @@ struct WeiszfeldResult {
   double objective = 0.0;
 };
 
+/// A geometric median of batch rows kept as a form.  Its point is
+///  - kRow: row rows[0], read in place;
+///  - kMidpoint: 0.5 * (row rows[0] + row rows[1]);
+///  - kWeights: (1.0 / denominator) * sum_j weights[j] * row rows[j], the
+///    sum accumulated with kernels::axpy in j order from zero (the
+///    weight-space loop's own quotient; a subset mean is weights 1 and
+///    denominator s, bitwise mean_of_rows since 1.0 * x is exact);
+///  - kPoint: `point`, the coordinate loop's iterate after a hand-off.
+struct MedianForm {
+  enum class Kind { kRow, kMidpoint, kWeights, kPoint };
+  Kind kind = Kind::kRow;
+  std::vector<std::size_t> rows;
+  std::vector<double> weights;
+  double denominator = 0.0;
+  Vector point;
+  std::size_t iterations = 0;
+  bool converged = true;
+  bool coordinate_handoff = false;
+
+  static MedianForm row(std::size_t i);
+  static MedianForm midpoint(std::size_t a, std::size_t b);
+  /// The mean of `rows` as a weights form.
+  static MedianForm mean(const std::vector<std::size_t>& rows);
+};
+
+/// Coordinates [k0, k1) of `form`'s point over `batch` (the batch whose
+/// row indices the form holds): a pointer into the batch row or the
+/// form's point for kRow / kPoint, otherwise written into `scratch`
+/// (k1 - k0 doubles) and returned.  Each coordinate is computed exactly as
+/// materialize() computes it.
+const double* median_slice(const MedianForm& form, const GradientBatch& batch,
+                           std::size_t k0, std::size_t k1, double* scratch);
+
+/// The form's whole point.
+Vector materialize(const MedianForm& form, const GradientBatch& batch);
+
+/// Equality classes of a batch's rows: rows equal coordinate by coordinate
+/// under == (so -0.0 == 0.0) share a class, the equivalence the majority
+/// closed form counts in.  Built once per batch from one sort of the row indices
+/// (lexicographic, ties by index; NaN sorts last and equals NaN), so every
+/// subset's majority test afterwards costs O(s^2) index compares and
+/// reads no coordinate.
+class RowClasses {
+ public:
+  explicit RowClasses(const GradientBatch& batch);
+
+  /// The first of `indices` (batch rows, in that order) whose class holds
+  /// more than half of them; std::nullopt when no class does.
+  std::optional<std::size_t> majority(
+      const std::vector<std::size_t>& indices) const;
+
+ private:
+  std::vector<std::size_t> class_of_;  // the least row index of the class
+};
+
+/// The closed forms of the median of batch rows `indices`, tried before any
+/// iteration: one row, the two-row midpoint, and the majority row.
+std::optional<MedianForm> closed_form_median(
+    const RowClasses& classes, const std::vector<std::size_t>& indices);
+
+/// The weight-space loop (and its coordinate hand-off) over batch rows
+/// `indices`, for a subset no closed form resolves and whose bounding-box
+/// diagonal `spread` is positive.  Returns a kWeights or, after a
+/// hand-off, a kPoint form with the loop's counts; computes no objective.
+/// Concurrent calls share only `batch` and `distances`.
+MedianForm weiszfeld_median(const GradientBatch& batch,
+                            const DistanceMatrix& distances,
+                            const std::vector<std::size_t>& indices,
+                            double spread, const WeiszfeldOptions& options);
+
 /// Computes the geometric median of a non-empty batch's rows.  For one
 /// point the answer is the point; for two points the midpoint (every point
 /// on the segment is a minimizer; the midpoint is the canonical symmetric
-/// choice).  When more than n/2 rows are equal (compared lexicographically,
-/// so -0.0 == 0.0), the first of them by index is the median.  Otherwise
-/// the weight-space loop runs over a private DistanceMatrix of the rows.
+/// choice).  When more than n/2 rows are equal (compared with ==, so
+/// -0.0 == 0.0; RowClasses), the first of them by index is the median.
+/// Otherwise the weight-space loop runs over a private DistanceMatrix of
+/// the rows.
 /// Over more than 128 rows the coordinate loop runs from the centroid
 /// instead: there the m x m build (and its memory, ~1.6 GB at m = 10^4)
 /// costs more than the iterations it saves.
@@ -121,6 +203,7 @@ class WeiszfeldMetrics {
  public:
   explicit WeiszfeldMetrics(obs::MetricsRegistry* registry);
   void record(const WeiszfeldResult& result) const;
+  void record(const MedianForm& form) const;
 
  private:
   obs::Histogram* iterations_ = nullptr;

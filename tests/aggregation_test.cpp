@@ -7,6 +7,7 @@
 
 #include <cmath>
 
+#include "aggregation/approximation.hpp"
 #include "aggregation/hyperbox_rules.hpp"
 #include "aggregation/krum.hpp"
 #include "aggregation/minimum_diameter_rules.hpp"
@@ -298,19 +299,32 @@ TEST(BoxMean, MatchesManualConstructionOneDim) {
 }
 
 TEST(BoxRules, SubsetAggregatesMatchSerialAndParallel) {
+  // The subset means (S_mean, the weights forms BOX-MEAN folds) are the
+  // same serially and on a pool, and each is mean_of_rows of its subset.
   Rng rng(10);
-  const GradientBatch pts = GradientBatch::from(random_points(rng, 9, 5));
+  const VectorList pts = random_points(rng, 9, 5);
   ThreadPool pool(3);
-  const auto mean_of = [&pts](const std::vector<std::size_t>& subset) {
-    return mean_of_rows(pts, subset);
-  };
-  const GradientBatch serial = subset_aggregates(pts, 7, nullptr, mean_of);
-  const GradientBatch parallel = subset_aggregates(pts, 7, &pool, mean_of);
-  ASSERT_EQ(serial.rows(), binomial(9, 7));
-  ASSERT_EQ(serial.rows(), parallel.rows());
-  for (std::size_t i = 0; i < serial.rows(); ++i) {
-    EXPECT_TRUE(approx_equal(serial.row_copy(i), parallel.row_copy(i), 0.0));
+  const VectorList serial = compute_smean(pts, 2, nullptr);
+  const VectorList parallel = compute_smean(pts, 2, &pool);
+  ASSERT_EQ(serial.size(), binomial(9, 7));
+  ASSERT_EQ(serial.size(), parallel.size());
+  const auto combos = all_combinations(9, 7);
+  const GradientBatch batch = GradientBatch::from(pts);
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_TRUE(approx_equal(serial[i], parallel[i], 0.0));
+    EXPECT_TRUE(approx_equal(serial[i], mean_of_rows(batch, combos[i]), 0.0));
   }
+}
+
+TEST(BoxRules, SubsetBudgetAdmitsSixteenChooseEleven) {
+  // C(16, 11) = 4 368 subsets is inside the budget: both rules run, and
+  // their outputs lie in TH.
+  Rng rng(16);
+  const VectorList pts = random_points(rng, 16, 3);
+  const AggregationContext ctx = ctx_of(16, 5);
+  const Hyperbox th = trimmed_hyperbox(GradientBatch::from(pts), 11);
+  EXPECT_TRUE(th.contains(BoxGeoMedianRule().aggregate(pts, ctx), 1e-9));
+  EXPECT_TRUE(th.contains(BoxMeanRule().aggregate(pts, ctx), 1e-9));
 }
 
 TEST(BoxRules, WeiszfeldMetricsCountEveryMedian) {

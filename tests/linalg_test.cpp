@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
+#include "geometry/subsets.hpp"
 #include "linalg/hyperbox.hpp"
 #include "linalg/stats.hpp"
 #include "linalg/vector_ops.hpp"
@@ -245,11 +247,11 @@ TEST(Stats, TrimmedHyperboxRejectsOverTrimming) {
 }
 
 TEST(Stats, PooledTrimmedHyperboxMatchesSerialBitwise) {
-  // d spans several 64-column tiles plus a ragged one; signed zeros make
-  // the sort's placement of equal values visible in the bits.
+  // d spans several 128-column selection tiles plus a ragged one; signed
+  // zeros make the placement of equal values visible in the bits.
   Rng rng(12);
   const std::size_t m = 10;
-  const std::size_t d = 64 * 5 + 17;
+  const std::size_t d = 128 * 5 + 17;
   GradientBatch batch(m, d);
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t k = 0; k < d; ++k) {
@@ -268,6 +270,98 @@ TEST(Stats, PooledTrimmedHyperboxMatchesSerialBitwise) {
                           d * sizeof(double)),
               0);
   }
+}
+
+// Values drawn from a small set with both zeros, so columns are full of
+// ties, -0.0 against 0.0 among them.
+double tie_heavy_value(Rng& rng) {
+  static const double kValues[] = {-0.0, 0.0, 1.0, -1.0, 2.5, 0.0, -0.0};
+  if (rng.uniform() < 0.2) return rng.uniform(-3.0, 3.0);
+  return kValues[rng.uniform_u64(7)];
+}
+
+TEST(Stats, OrderStatisticsBoxMatchesSortedColumnsBitwise) {
+  // For m <= 16 std::sort is a stable insertion sort, so the table's r-th
+  // values are the sorted column's, sign of zero included, for every
+  // valid keep.
+  Rng rng(21);
+  const std::size_t d = 300;
+  for (std::size_t m = 1; m <= 16; ++m) {
+    GradientBatch batch(m, d);
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t k = 0; k < d; ++k) {
+        batch.row(i)[k] = tie_heavy_value(rng);
+      }
+    }
+    for (std::size_t keep = 1; keep <= m; ++keep) {
+      const std::size_t drop = m - keep;
+      if (drop >= keep) continue;
+      const Hyperbox th = trimmed_hyperbox(batch, keep);
+      std::vector<double> column(m);
+      for (std::size_t k = 0; k < d; ++k) {
+        for (std::size_t i = 0; i < m; ++i) column[i] = batch.row(i)[k];
+        std::sort(column.begin(), column.end());
+        ASSERT_EQ(std::memcmp(&th.lo()[k], &column[drop], sizeof(double)), 0)
+            << "m=" << m << " keep=" << keep << " k=" << k;
+        ASSERT_EQ(std::memcmp(&th.hi()[k], &column[keep - 1], sizeof(double)),
+                  0)
+            << "m=" << m << " keep=" << keep << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(Stats, OrderStatisticsSpreadsMatchBoundingDiagonalBitwise) {
+  // Every subset that leaves out fewer than depth rows: its spread from
+  // the table is Hyperbox::bounding(rows_view(...)).diagonal(), bit for
+  // bit, serially and on a pool.
+  Rng rng(22);
+  ThreadPool pool(3);
+  for (const std::size_t d : {1u, 5u, 130u, 300u}) {
+    for (std::size_t m = 1; m <= 10; ++m) {
+      GradientBatch batch(m, d);
+      for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t k = 0; k < d; ++k) {
+          batch.row(i)[k] = tie_heavy_value(rng);
+        }
+      }
+      for (std::size_t keep = 1; keep <= m; ++keep) {
+        const OrderStatistics table(batch, m - keep + 1);
+        std::vector<std::vector<std::size_t>> left_out;
+        std::vector<double> want;
+        std::vector<const double*> view_table;
+        for (const auto& subset : all_combinations(m, keep)) {
+          std::vector<std::size_t> out;
+          for (std::size_t i = 0, next = 0; i < m; ++i) {
+            if (next < keep && subset[next] == i) {
+              ++next;
+            } else {
+              out.push_back(i);
+            }
+          }
+          left_out.push_back(out);
+          want.push_back(
+              Hyperbox::bounding(rows_view(batch, subset, view_table))
+                  .diagonal());
+        }
+        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+          const std::vector<double> got = table.spreads_without(left_out, p);
+          ASSERT_EQ(got.size(), want.size());
+          for (std::size_t c = 0; c < got.size(); ++c) {
+            ASSERT_EQ(std::memcmp(&got[c], &want[c], sizeof(double)), 0)
+                << "d=" << d << " m=" << m << " keep=" << keep
+                << " subset=" << c;
+          }
+        }
+      }
+    }
+  }
+  // Leaving out depth rows or more is rejected.
+  GradientBatch batch(4, 2);
+  const OrderStatistics table(batch, 2);
+  EXPECT_THROW(table.spreads_without({{0, 1}}), std::invalid_argument);
+  EXPECT_THROW(OrderStatistics(batch, 0), std::invalid_argument);
+  EXPECT_THROW(OrderStatistics(batch, 5), std::invalid_argument);
 }
 
 TEST(Stats, MeanStd) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -480,6 +482,24 @@ TEST(ScenarioRunner, UnknownRuleOrAttackRecordedAsErrorWithNames) {
   const auto bad_attack =
       runner.run(ScenarioSpec::parse("attack=nope rounds=1"));
   EXPECT_NE(bad_attack.error.find("sign-flip"), std::string::npos);
+}
+
+TEST(ScenarioRunner, HyperboxSubsetBudgetFailsFastWithNamedError) {
+  // n = 31, t = 10 asks BOX-GEOM for C(31, 21) = 44 352 165 subset medians;
+  // the rule refuses before enumerating any of them, and the cell records
+  // the count and the budget instead of running out of memory.
+  experiments::ScenarioRunner runner;
+  const auto start = std::chrono::steady_clock::now();
+  const auto summary = runner.run(
+      ScenarioSpec::parse("rule=BOX-GEOM n=31 f=10 rounds=1 eval-max=50"));
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_NE(summary.error.find("BOX-GEOM: C(31, 21) = 44352165"),
+            std::string::npos)
+      << summary.error;
+  EXPECT_NE(summary.error.find("budget of 100000"), std::string::npos)
+      << summary.error;
+  EXPECT_LT(elapsed.count(), 1.0);
 }
 
 TEST(ScenarioRunner, DivergentScenarioDoesNotAbortSweep) {
