@@ -126,27 +126,31 @@ void print_registries() {
 int main(int argc, char** argv) {
   using namespace bcl;
   using experiments::ScenarioSpec;
-  const CliArgs args(argc, argv,
-                     {"list", "scenario", "rules", "attacks", "topologies",
-                      "hets", "fs", "nets", "comps", "faults", "n", "t",
-                      "model", "full", "rounds", "batch", "lr", "subrounds",
-                      "delay", "net", "comp", "stale", "cohort", "seed",
-                      "eval-max", "csv", "json", "threads", "jobs",
-                      "dry-run", "trace", "trace-dir", "profile"});
-  if (args.get_bool("list", false)) {
-    print_registries();
-    return 0;
-  }
-
-  // Shared scalar overrides, applied to every spec of the sweep through
-  // the spec grammar's own strict validation (flag name == spec key).
-  const std::vector<std::string> scalar_keys = {
-      "n",  "t",     "model",     "rounds", "batch",    "lr",
-      "subrounds", "delay", "net", "comp", "stale", "cohort", "seed",
-      "eval-max", "trace"};
-
-  std::vector<ScenarioSpec> specs;
+  // Everything runs inside the try, flag parsing included, so a bad
+  // command line prints one "bcl_run: ..." line and exits 1.
   try {
+    const CliArgs args(argc, argv,
+                       {"list", "scenario", "rules", "attacks", "topologies",
+                        "hets", "fs", "nets", "comps", "faults", "n", "t",
+                        "model", "full", "rounds", "batch", "lr",
+                        "subrounds", "delay", "net", "comp", "stale",
+                        "cohort", "seed", "eval-max", "csv", "json",
+                        "threads", "jobs", "dry-run", "trace", "trace-dir",
+                        "profile"});
+    if (args.get_bool("list", false)) {
+      print_registries();
+      return 0;
+    }
+
+    // Shared scalar overrides, applied to every spec of the sweep through
+    // the spec grammar's own strict validation (flag name == spec key).
+    const std::vector<std::string> scalar_keys = {
+        "n",  "t",     "model",     "rounds", "batch",    "lr",
+        "subrounds", "delay", "net", "comp", "stale", "cohort", "seed",
+        "eval-max", "trace"};
+    const std::size_t threads = bench::thread_count(args);
+
+    std::vector<ScenarioSpec> specs;
     if (args.has("scenario")) {
       // A single fully spelled-out scenario and the sweep axes are
       // mutually exclusive: dropping user-provided axes silently would
@@ -218,7 +222,7 @@ int main(int argc, char** argv) {
 
     std::cout << "=== bcl_run: " << specs.size()
               << " scenario(s) ===\n\n";
-    ThreadPool pool(static_cast<std::size_t>(args.get_int("threads", 0)));
+    ThreadPool pool(threads);
     experiments::ScenarioRunner runner(&pool);
     bench::EmitterSet emitters(std::cout, args, "bcl_run",
                                "BENCH_scenarios.json");

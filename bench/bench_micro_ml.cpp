@@ -1,5 +1,7 @@
-// Microbenchmarks for the neural-network substrate: the im2col Conv2D and
-// the gemm Dense against their pre-gemm reference implementations.
+// Microbenchmarks for the neural-network substrate: Conv2D and the blocked
+// Dense against their reference implementations (the direct convolution
+// loops from the test oracle, tests/conv2d_oracle.hpp, and per-row Dense
+// loops).
 //
 // Besides the google-benchmark suites, main() emits BENCH_micro_ml.json
 // (see bench_json.hpp) so the layer-kernel perf trajectory is tracked
@@ -7,6 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "../tests/conv2d_oracle.hpp"
 #include "bench_json.hpp"
 #include "core/bcl.hpp"
 #include "ml/conv2d.hpp"
@@ -32,45 +35,47 @@ constexpr std::size_t kInC = 3;
 constexpr std::size_t kOutC = 16;
 constexpr std::size_t kImg = 32;
 
-Conv2D make_conv(Conv2D::Mode mode) {
-  Conv2D conv(kInC, kOutC, 3, 1, mode);
+Conv2D make_conv() {
+  Conv2D conv(kInC, kOutC, 3, 1);
   Rng rng(21);
   conv.initialize(rng);
   return conv;
 }
 
 void BM_Conv2DForwardDirect(benchmark::State& state) {
-  Conv2D conv = make_conv(Conv2D::Mode::Direct);
+  const test::ConvOracle direct = test::oracle_of(make_conv());
   const Tensor x = random_tensor({kN, kInC, kImg, kImg}, 22);
-  for (auto _ : state) benchmark::DoNotOptimize(conv.forward(x));
+  for (auto _ : state) benchmark::DoNotOptimize(direct.forward_direct(x));
 }
 BENCHMARK(BM_Conv2DForwardDirect);
 
-void BM_Conv2DForwardIm2col(benchmark::State& state) {
-  Conv2D conv = make_conv(Conv2D::Mode::Im2col);
+void BM_Conv2DForward(benchmark::State& state) {
+  Conv2D conv = make_conv();
   const Tensor x = random_tensor({kN, kInC, kImg, kImg}, 22);
   for (auto _ : state) benchmark::DoNotOptimize(conv.forward(x));
 }
-BENCHMARK(BM_Conv2DForwardIm2col);
+BENCHMARK(BM_Conv2DForward);
 
-void run_conv_backward(benchmark::State& state, Conv2D::Mode mode) {
-  Conv2D conv = make_conv(mode);
+void BM_Conv2DBackwardDirect(benchmark::State& state) {
+  test::ConvOracle direct = test::oracle_of(make_conv());
   const Tensor x = random_tensor({kN, kInC, kImg, kImg}, 22);
-  const Tensor y = conv.forward(x);
-  const Tensor gy = random_tensor(y.shape(), 23);
+  const Tensor gy = random_tensor(direct.forward_direct(x).shape(), 23);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(direct.backward_direct(x, gy));
+  }
+}
+BENCHMARK(BM_Conv2DBackwardDirect);
+
+void BM_Conv2DBackward(benchmark::State& state) {
+  Conv2D conv = make_conv();
+  const Tensor x = random_tensor({kN, kInC, kImg, kImg}, 22);
+  const Tensor gy = random_tensor(conv.forward(x).shape(), 23);
   for (auto _ : state) {
     conv.zero_gradients();
     benchmark::DoNotOptimize(conv.backward(gy));
   }
 }
-void BM_Conv2DBackwardDirect(benchmark::State& s) {
-  run_conv_backward(s, Conv2D::Mode::Direct);
-}
-BENCHMARK(BM_Conv2DBackwardDirect);
-void BM_Conv2DBackwardIm2col(benchmark::State& s) {
-  run_conv_backward(s, Conv2D::Mode::Im2col);
-}
-BENCHMARK(BM_Conv2DBackwardIm2col);
+BENCHMARK(BM_Conv2DBackward);
 
 void BM_DenseForward(benchmark::State& state) {
   const std::size_t in = static_cast<std::size_t>(state.range(0));
@@ -110,32 +115,30 @@ void emit_json() {
   using benchjson::time_ns;
   std::vector<Record> records;
 
-  // Conv2D: im2col vs direct, forward and backward.
+  // Conv2D vs the direct loops, forward and backward.
   {
     const Tensor x = random_tensor({kN, kInC, kImg, kImg}, 22);
-    Conv2D direct = make_conv(Conv2D::Mode::Direct);
-    Conv2D fast = make_conv(Conv2D::Mode::Im2col);
+    test::ConvOracle direct = test::oracle_of(make_conv());
+    Conv2D fast = make_conv();
     const std::size_t d = kInC * kImg * kImg;
     const double fwd_naive =
-        time_ns([&] { benchmark::DoNotOptimize(direct.forward(x)); });
+        time_ns([&] { benchmark::DoNotOptimize(direct.forward_direct(x)); });
     const double fwd_fast =
         time_ns([&] { benchmark::DoNotOptimize(fast.forward(x)); });
     records.push_back({"conv2d_forward_direct", kN, d, fwd_naive, 0.0});
-    records.push_back({"conv2d_forward_im2col", kN, d, fwd_fast,
+    records.push_back({"conv2d_forward", kN, d, fwd_fast,
                        fwd_fast > 0.0 ? fwd_naive / fwd_fast : 0.0});
 
     const Tensor gy = random_tensor(fast.forward(x).shape(), 23);
-    direct.forward(x);
     const double bwd_naive = time_ns([&] {
-      direct.zero_gradients();
-      benchmark::DoNotOptimize(direct.backward(gy));
+      benchmark::DoNotOptimize(direct.backward_direct(x, gy));
     });
     const double bwd_fast = time_ns([&] {
       fast.zero_gradients();
       benchmark::DoNotOptimize(fast.backward(gy));
     });
     records.push_back({"conv2d_backward_direct", kN, d, bwd_naive, 0.0});
-    records.push_back({"conv2d_backward_im2col", kN, d, bwd_fast,
+    records.push_back({"conv2d_backward", kN, d, bwd_fast,
                        bwd_fast > 0.0 ? bwd_naive / bwd_fast : 0.0});
   }
 

@@ -11,6 +11,7 @@
 
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,18 @@ inline void apply_scalar_flags(const CliArgs& args,
       spec.trace == "off") {
     spec.trace = "full";
   }
+}
+
+/// The --threads worker count (0, the default, runs serially).  A
+/// negative value is an error that names the flag, not a cast to a huge
+/// size_t.
+inline std::size_t thread_count(const CliArgs& args) {
+  const long long threads = args.get_int("threads", 0);
+  if (threads < 0) {
+    throw std::invalid_argument("--threads must be >= 0, got " +
+                                std::to_string(threads));
+  }
+  return static_cast<std::size_t>(threads);
 }
 
 /// Console emitter plus the optional --csv/--json artifact emitters, with
@@ -119,7 +132,7 @@ inline std::vector<experiments::ScenarioSummary> run_scenarios(
   std::cout << "=== " << title << ": " << specs.size()
             << " scenario(s) through the scenario engine ===\n\n";
 
-  ThreadPool pool(static_cast<std::size_t>(args.get_int("threads", 0)));
+  ThreadPool pool(thread_count(args));
   experiments::ScenarioRunner runner(&pool);
   EmitterSet emitters(std::cout, args, title, "BENCH_" + title + ".json");
   const auto summaries = runner.run_all(specs, emitters.pointers);

@@ -392,8 +392,8 @@ TrainingResult CentralizedTrainer::run() {
     metrics.mean_honest_loss = honest_loss;
     metrics.accuracy = [&] {
       BCL_TRACE_SPAN("evaluate");
-      return setup.evaluate(0, global_params_, *test_,
-                            config_.eval_max_examples);
+      return setup.evaluate_on_all_lanes(global_params_, *test_,
+                                         config_.eval_max_examples);
     }();
     metrics.accuracy_min = metrics.accuracy;
     metrics.accuracy_max = metrics.accuracy;

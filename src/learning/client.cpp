@@ -29,18 +29,35 @@ double stochastic_gradient_with(ml::Model& scratch, const ml::Dataset& data,
   return loss;
 }
 
-double evaluate_with(ml::Model& scratch, const Vector& parameters,
-                     const ml::Dataset& eval_set, std::size_t max_examples) {
-  scratch.set_parameters(parameters);
-  std::size_t count = eval_set.size();
-  if (max_examples > 0) count = std::min(count, max_examples);
-  std::vector<std::size_t> indices(count);
-  std::iota(indices.begin(), indices.end(), 0);
-  return scratch.accuracy(eval_set.batch(indices),
-                          eval_set.batch_labels(indices));
+namespace {
+
+/// Correct predictions of `scratch` (parameters already set) on examples
+/// [begin, end) of `eval_set`, in forward passes of at most `batch`
+/// examples.
+std::size_t count_correct(ml::Model& scratch, const ml::Dataset& eval_set,
+                          std::size_t begin, std::size_t end,
+                          std::size_t batch) {
+  std::size_t correct = 0;
+  std::vector<std::size_t> indices;
+  for (std::size_t first = begin; first < end; first += batch) {
+    indices.resize(std::min(batch, end - first));
+    std::iota(indices.begin(), indices.end(), first);
+    correct += scratch.correct_predictions(eval_set.batch(indices),
+                                           eval_set.batch_labels(indices));
+  }
+  return correct;
 }
 
-namespace {
+/// Examples an evaluation covers: the first `max_examples` (0 = all).
+std::size_t eval_count(const ml::Dataset& eval_set, std::size_t max_examples) {
+  return max_examples > 0 ? std::min(eval_set.size(), max_examples)
+                          : eval_set.size();
+}
+
+double fraction(std::size_t correct, std::size_t count) {
+  return count == 0 ? 0.0
+                    : static_cast<double>(correct) / static_cast<double>(count);
+}
 
 /// Lanes of a fan-out over `pool`: one per worker plus the calling thread.
 /// TrainerSetup builds exactly this many scratch models.
@@ -49,6 +66,13 @@ std::size_t lane_count(const ThreadPool* pool) {
 }
 
 }  // namespace
+
+double evaluate_with(ml::Model& scratch, const Vector& parameters,
+                     const ml::Dataset& eval_set, std::size_t max_examples) {
+  scratch.set_parameters(parameters);
+  const std::size_t count = eval_count(eval_set, max_examples);
+  return fraction(count_correct(scratch, eval_set, 0, count, count), count);
+}
 
 void for_each_in_lanes(
     ThreadPool* pool, std::size_t count,
@@ -71,7 +95,8 @@ void for_each_in_lanes(
 TrainerSetup::TrainerSetup(const TrainingConfig& config,
                            const ModelFactory& factory,
                            const ml::Dataset& train)
-    : honest_count_(config.num_clients - config.num_byzantine),
+    : pool_(config.pool),
+      honest_count_(config.num_clients - config.num_byzantine),
       batch_size_(config.batch_size),
       train_(&train),
       codec_(config.codec != nullptr && !config.codec->identity()
@@ -121,6 +146,24 @@ double TrainerSetup::evaluate(std::size_t lane, const Vector& parameters,
                               std::size_t max_examples) {
   return evaluate_with(lane_models_[lane], parameters, eval_set,
                        max_examples);
+}
+
+double TrainerSetup::evaluate_on_all_lanes(const Vector& parameters,
+                                           const ml::Dataset& eval_set,
+                                           std::size_t max_examples) {
+  const std::size_t count = eval_count(eval_set, max_examples);
+  const std::size_t ranges = std::min(lane_models_.size(), count);
+  std::vector<std::size_t> correct(ranges, 0);
+  // One item per range: for_each_in_lanes runs item r on its own lane.
+  for_each_in_lanes(pool_, ranges, [&](std::size_t lane, std::size_t r) {
+    ml::Model& scratch = lane_models_[lane];
+    scratch.set_parameters(parameters);
+    correct[r] = count_correct(scratch, eval_set, count * r / ranges,
+                               count * (r + 1) / ranges, kEvalBatch);
+  });
+  return fraction(std::accumulate(correct.begin(), correct.end(),
+                                  std::size_t{0}),
+                  count);
 }
 
 void publish_round_histograms(obs::MetricsRegistry* registry,

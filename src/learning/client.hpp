@@ -38,9 +38,21 @@ double stochastic_gradient_with(ml::Model& scratch, const ml::Dataset& data,
                                 std::size_t batch_size, Rng& rng,
                                 const Vector& parameters, double* out_gradient);
 
+/// Examples per forward pass of a lane-split evaluation
+/// (TrainerSetup::evaluate_on_all_lanes).  Each lane walks its range in
+/// mini-batches of this size, so the layer tensors it holds stay a few
+/// hundred KB whatever the test set's size.  That keeps peak RSS down:
+/// each pool thread allocates from its own malloc arena, and whole-range
+/// batches there would keep one set of eval tensors per arena.  Every
+/// layer works per sample (Conv2D, ReLU, MaxPool2D, Dense's per-row dots),
+/// so an example's logits, and so the accuracy, never depend on the
+/// batching.
+constexpr std::size_t kEvalBatch = 32;
+
 /// Accuracy of the model at `parameters` on the first `max_examples` of
-/// `eval_set` (0 = all), over a scratch model (stateless given
-/// `parameters`; same sharing rationale as stochastic_gradient_with).
+/// `eval_set` (0 = all; 0.0 when there are none), over a scratch model
+/// (stateless given `parameters`; same sharing rationale as
+/// stochastic_gradient_with), in one forward pass.
 double evaluate_with(ml::Model& scratch, const Vector& parameters,
                      const ml::Dataset& eval_set, std::size_t max_examples = 0);
 
@@ -82,11 +94,28 @@ class TrainerSetup {
   double gradient(std::size_t lane, std::size_t id, const Vector& parameters,
                   double* out);
 
-  /// Accuracy at `parameters` on lane `lane`'s scratch model.
+  /// Accuracy at `parameters` on lane `lane`'s scratch model, in one
+  /// forward pass (evaluate_with).  The decentralized trainer fans its
+  /// nodes out over the lanes with this.  Its per-node passes are small
+  /// (the reduced MLP's 200 test examples are 160 KB), and cutting them
+  /// into kEvalBatch mini-batches cost more than it saved: with no eval
+  /// allocation past glibc's 128 KB mmap threshold, the dynamic trim
+  /// threshold stayed low, the heap was trimmed and regrown every round,
+  /// and dec-boxgeom-sync's setup_s rose by half.
   double evaluate(std::size_t lane, const Vector& parameters,
                   const ml::Dataset& eval_set, std::size_t max_examples);
 
+  /// Accuracy at `parameters` on the first `max_examples` of `eval_set`
+  /// (0 = all), on every lane at once: the examples are split into one
+  /// contiguous range per lane, each lane counts its correct predictions
+  /// on its own scratch model, and the integer counts are summed, so the
+  /// result is bitwise evaluate_with's at any lane count.
+  double evaluate_on_all_lanes(const Vector& parameters,
+                               const ml::Dataset& eval_set,
+                               std::size_t max_examples);
+
  private:
+  ThreadPool* pool_;
   std::size_t honest_count_;
   std::size_t batch_size_;
   const ml::Dataset* train_;

@@ -13,52 +13,11 @@ namespace bcl::kernels {
 
 namespace {
 
-// Register block width shared by the gemm and Gram kernels: number of B
-// rows (output columns) accumulated per pass over k.  Eight independent
-// accumulator chains are enough to cover the FP latency on current cores
-// without spilling.
+// Register block width of the Gram kernels: number of X rows (output
+// columns) accumulated per pass over k.  Eight independent accumulator
+// chains are enough to cover the FP latency on current cores without
+// spilling.
 constexpr std::size_t kColBlock = 8;
-
-// --- strict-order gemm micro-kernel ---------------------------------------
-//
-// cvals[q] += arow . brow_q for W consecutive B rows starting at b (each
-// `bstride` apart), k in [k0, k1).  W is a compile-time constant so the q
-// loop fully unrolls and acc[] lives in registers; each acc[q] is a single
-// sequential chain in increasing k — the bitwise-determinism contract
-// matmul_abt documents (this is what lets the im2col Conv2D and the gemm
-// Dense match the direct implementations exactly).
-template <std::size_t W>
-void abt_kernel(const double* arow, const double* b, std::size_t bstride,
-                double* cvals, std::size_t k0, std::size_t k1) {
-  const double* brow[W];
-  for (std::size_t q = 0; q < W; ++q) brow[q] = b + q * bstride;
-  double acc[W];
-  for (std::size_t q = 0; q < W; ++q) acc[q] = cvals[q];
-  for (std::size_t kk = k0; kk < k1; ++kk) {
-    const double av = arow[kk];
-    for (std::size_t q = 0; q < W; ++q) acc[q] += av * brow[q][kk];
-  }
-  for (std::size_t q = 0; q < W; ++q) cvals[q] = acc[q];
-}
-
-// Width dispatch for one A row against B rows [j0, j1) over k in [k0, k1).
-void abt_row_range(const double* arow, const double* b, std::size_t k,
-                   double* crow, std::size_t j0, std::size_t j1,
-                   std::size_t k0, std::size_t k1) {
-  std::size_t j = j0;
-  for (; j + kColBlock <= j1; j += kColBlock) {
-    abt_kernel<kColBlock>(arow, b + j * k, k, crow + j, k0, k1);
-  }
-  if (j + 4 <= j1) {
-    abt_kernel<4>(arow, b + j * k, k, crow + j, k0, k1);
-    j += 4;
-  }
-  if (j + 2 <= j1) {
-    abt_kernel<2>(arow, b + j * k, k, crow + j, k0, k1);
-    j += 2;
-  }
-  if (j < j1) abt_kernel<1>(arow, b + j * k, k, crow + j, k0, k1);
-}
 
 // --- Gram micro-kernel ----------------------------------------------------
 //
@@ -165,13 +124,6 @@ void add_inplace(double* y, const double* x, std::size_t n) {
 
 void scale_inplace(double* y, double alpha, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] *= alpha;
-}
-
-void matmul_abt(const double* a, std::size_t ma, const double* b,
-                std::size_t mb, std::size_t k, double* c, std::size_t ldc) {
-  for (std::size_t i = 0; i < ma; ++i) {
-    abt_row_range(a + i * k, b, k, c + i * ldc, 0, mb, 0, k);
-  }
 }
 
 void gram_upper_columns(const double* x, std::size_t m, std::size_t k,

@@ -3,31 +3,27 @@
 // buffers.
 //
 // Every hot loop in the stack — the Gram-matrix build behind the pairwise
-// distance matrix, the coordinate-wise reductions, and the im2col-based
-// Conv2D / Dense products — bottoms out in the same handful of kernels over
-// flat double arrays.  The legacy loops iterated std::vector<std::vector>
-// and accumulated through a single serial dependency chain, so the compiler
-// could neither vectorize nor overlap the floating-point adds; these kernels
-// work on contiguous memory, tile for cache reuse, and batch several
-// independent accumulator chains so the FPU pipeline stays full.
+// distance matrix, the coordinate-wise reductions, and the Dense layer's
+// products — bottoms out in the same handful of kernels over flat double
+// arrays.  The legacy loops iterated std::vector<std::vector> and
+// accumulated through a single serial dependency chain, so the compiler
+// could neither vectorize nor overlap the floating-point adds; these
+// kernels work on contiguous memory, tile for cache reuse, and batch
+// several independent accumulator chains so the FPU pipeline stays full.
 //
-// Two determinism contracts coexist:
-//  - matmul_abt accumulates each output entry strictly in increasing-k
-//    order: one accumulator seeded with the existing C value, products
-//    added one at a time (so with a zero seed C[i][j] is bitwise equal to
-//    dot_seq(A_i, B_j)).  Its speed comes from running many
-//    such chains in flight at once (one per output column of the register
-//    block), not from reassociating any single sum — which is what lets
-//    the im2col Conv2D and the gemm Dense match the direct implementations
-//    exactly.
-//  - the Gram kernels (gram_upper / gram_upper_columns) serve the
-//    tolerance-checked distance path and DO reassociate, into exactly two
-//    interleaved k-chains (even + odd indices, folded as
-//    (even + odd) + tail) that map onto one 2-lane SIMD accumulator per
-//    column.  The per-entry arithmetic depends only on that definition —
-//    never on the kernel width, the column blocking, or the thread that
-//    runs it — so serial and pool-parallel builds stay bitwise identical
-//    and bitwise-equal input rows produce bitwise-equal Gram entries.
+// Determinism: the element-wise kernels (axpy, add_inplace, col_sum) add
+// each output's terms in call / row order, so repeated calls accumulate
+// exactly like the naive loops.  There is no gemm here: Conv2D runs its
+// own register-blocked loops (ml/conv2d.cpp), and tests/conv2d_oracle.hpp
+// keeps a strict-order gemm as their bitwise oracle.  The Gram kernels
+// (gram_upper / gram_upper_columns) and dot_rows DO reassociate, into
+// exactly two interleaved k-chains (even + odd indices, folded as
+// (even + odd) + tail) that map onto one 2-lane SIMD accumulator per
+// column.  The per-entry arithmetic depends
+// only on that definition — never on the kernel width, the column
+// blocking, or the thread that runs it — so serial and pool-parallel
+// builds stay bitwise identical and bitwise-equal input rows produce
+// bitwise-equal Gram entries.
 //
 #include <cstddef>
 #include <cstdint>
@@ -36,7 +32,7 @@ namespace bcl::kernels {
 
 /// Strictly sequential dot product: one accumulator, increasing index.
 /// Bitwise identical to the naive `for (i) s += a[i]*b[i]` loop — the
-/// reference the matmul_abt contract is stated (and tested) against.
+/// reference the reassociating kernels are tested against.
 double dot_seq(const double* a, const double* b, std::size_t n);
 
 /// y += alpha * x over contiguous arrays (unrolled).
@@ -48,13 +44,6 @@ void add_inplace(double* y, const double* x, std::size_t n);
 
 /// y *= alpha over a contiguous array.
 void scale_inplace(double* y, double alpha, std::size_t n);
-
-/// C += A * B^T for row-major A (ma x k), B (mb x k), C (ma x ldc, using the
-/// first mb columns of each row).  Tiled over rows of A and B for cache
-/// reuse; each C entry is accumulated in increasing-k order (see the
-/// determinism contract above).
-void matmul_abt(const double* a, std::size_t ma, const double* b,
-                std::size_t mb, std::size_t k, double* c, std::size_t ldc);
 
 /// Gram upper triangle: for 0 <= i <= j < m, C[i*m + j] += X_i . X_j with
 /// X row-major (m x k).  Only the diagonal and the upper triangle of C are

@@ -25,11 +25,11 @@ RademacherSketch::RademacherSketch(std::size_t dim, std::size_t k,
   // The sign stream is drawn bit-packed (one u64 per 64 signs, in
   // input-dimension-major order) and expanded to +-1.0 doubles stored
   // k x d — one d-length sign row per sketch coordinate — so that
-  // projection is exactly the A * B^T product the tiled matmul_abt
-  // kernel computes at full SIMD throughput.  The double form costs
-  // dim * k * 8 bytes (~1 MiB at d=1842, k=64); any per-bit extraction
-  // at apply time ran scalar and cost as much as the exact O(m^2 * d)
-  // Gram build the sketch is supposed to displace.
+  // projection is one multi-row dot of the input row against contiguous
+  // sign rows (kernels::dot_rows, at full SIMD throughput).  The double
+  // form costs dim * k * 8 bytes (~1 MiB at d=1842, k=64); any per-bit
+  // extraction at apply time ran scalar and cost as much as the exact
+  // O(m^2 * d) Gram build the sketch is supposed to displace.
   signs_.resize(dim_ * k_);
   Rng rng(splitmix64(seed ^ kSketchSalt));
   std::uint64_t word = 0;
@@ -45,9 +45,9 @@ RademacherSketch::RademacherSketch(std::size_t dim, std::size_t k,
 // kernels::dot_rows — the two-chain SIMD Gram kernel, whose per-entry
 // arithmetic is documented to be independent of kernel width, blocking,
 // and threading — so per-row and batch application are bit-identical to
-// each other.  (The strict-order gemm kernel is ~4x slower per flop here:
-// one sequential chain per entry leaves SIMD on the table, and a sketch
-// coordinate has no bitwise-legacy contract to honour.)
+// each other.  (A strict-order dot, one sequential chain per entry, was
+// ~4x slower per flop here, and a sketch coordinate has no bitwise-legacy
+// contract to honour.)
 void RademacherSketch::apply_row(const double* row, double* out) const {
   for (std::size_t j = 0; j < k_; ++j) out[j] = 0.0;
   kernels::dot_rows(row, signs_.data(), k_, dim_, out);

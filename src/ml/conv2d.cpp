@@ -6,17 +6,74 @@
 #include <stdexcept>
 #include <vector>
 
-#include "linalg/kernels.hpp"
-
 namespace bcl::ml {
 
+namespace {
+
+// out_r[q] += sum_i a[r * arow + i * acol] * b[boff[i] + q] for R output
+// rows r (`orow` apart) and the W columns q of one block, i ascending.
+// Each accumulator starts from its output entry and adds its products one
+// at a time in i order, the per-entry chain of a strict-order gemm.  The
+// rows share every load of b, and consecutive q read consecutive b, so the
+// block vectorizes across q without reassociating any sum.
+template <std::size_t R, std::size_t W>
+void chain_block(const double* a, std::size_t arow, std::size_t acol,
+                 const double* b, const std::size_t* boff, std::size_t n,
+                 double* out, std::size_t orow) {
+  double acc[R][W];
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t q = 0; q < W; ++q) acc[r][q] = out[r * orow + q];
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* bs = b + boff[i];
+    for (std::size_t r = 0; r < R; ++r) {
+      const double av = a[r * arow + i * acol];
+      for (std::size_t q = 0; q < W; ++q) acc[r][q] += av * bs[q];
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t q = 0; q < W; ++q) out[r * orow + q] = acc[r][q];
+  }
+}
+
+// chain_block over `rows` output rows of `width` columns: rows in pairs,
+// columns in blocks of 8/4/2/1.
+void chain(const double* a, std::size_t arow, std::size_t acol,
+           const double* b, const std::size_t* boff, std::size_t n,
+           double* out, std::size_t orow, std::size_t rows,
+           std::size_t width) {
+  const auto columns = [&]<std::size_t R>(std::size_t r) {
+    const double* ar = a + r * arow;
+    double* o = out + r * orow;
+    std::size_t q = 0;
+    for (; q + 8 <= width; q += 8) {
+      chain_block<R, 8>(ar, arow, acol, b + q, boff, n, o + q, orow);
+    }
+    if (q + 4 <= width) {
+      chain_block<R, 4>(ar, arow, acol, b + q, boff, n, o + q, orow);
+      q += 4;
+    }
+    if (q + 2 <= width) {
+      chain_block<R, 2>(ar, arow, acol, b + q, boff, n, o + q, orow);
+      q += 2;
+    }
+    if (q < width) {
+      chain_block<R, 1>(ar, arow, acol, b + q, boff, n, o + q, orow);
+    }
+  };
+  std::size_t r = 0;
+  for (; r + 2 <= rows; r += 2) columns.template operator()<2>(r);
+  if (r < rows) columns.template operator()<1>(r);
+}
+
+}  // namespace
+
 Conv2D::Conv2D(std::size_t in_channels, std::size_t out_channels,
-               std::size_t kernel_size, std::size_t padding, Mode mode)
+               std::size_t kernel_size, std::size_t padding)
     : in_c_(in_channels),
       out_c_(out_channels),
       k_(kernel_size),
       pad_(padding),
-      mode_(mode),
       weight_(out_channels * in_channels * kernel_size * kernel_size, 0.0),
       bias_(out_channels, 0.0),
       grad_weight_(weight_.size(), 0.0),
@@ -38,118 +95,99 @@ Tensor Conv2D::forward(const Tensor& input) {
   if (input.rank() != 4 || input.dim(1) != in_c_) {
     throw std::invalid_argument("Conv2D::forward: expected [N, C_in, H, W]");
   }
+  const std::size_t batch = input.dim(0);
   const std::size_t h = input.dim(2);
   const std::size_t w = input.dim(3);
   if (h + 2 * pad_ < k_ || w + 2 * pad_ < k_) {
     throw std::invalid_argument("Conv2D::forward: kernel larger than input");
   }
-  cached_input_ = input;
-  return mode_ == Mode::Im2col ? forward_im2col(input)
-                               : forward_direct(input);
+  const std::size_t hp = h + 2 * pad_;
+  const std::size_t wp = w + 2 * pad_;
+  const std::size_t out_h = hp - k_ + 1;
+  const std::size_t out_w = wp - k_ + 1;
+  const std::size_t sample = in_c_ * hp * wp;
+  const std::size_t ckk = in_c_ * k_ * k_;
+
+  input_shape_ = input.shape();
+  offsets_.resize(ckk);
+  for (std::size_t ic = 0; ic < in_c_; ++ic) {
+    for (std::size_t kh = 0; kh < k_; ++kh) {
+      for (std::size_t kw = 0; kw < k_; ++kw) {
+        offsets_[(ic * k_ + kh) * k_ + kw] = (ic * hp + kh) * wp + kw;
+      }
+    }
+  }
+  padded_.assign(batch * sample, 0.0);
+  for (std::size_t plane = 0; plane < batch * in_c_; ++plane) {
+    const double* src = input.data() + plane * h * w;
+    double* dst = padded_.data() + plane * hp * wp + pad_ * wp + pad_;
+    for (std::size_t ih = 0; ih < h; ++ih) {
+      std::copy(src + ih * w, src + (ih + 1) * w, dst + ih * wp);
+    }
+  }
+
+  // out[oc][oh][.] = bias[oc] + sum_c W[oc][c] * x_pad[offsets[c] + oh*wp + .]
+  Tensor output({batch, out_c_, out_h, out_w});
+  const std::size_t npos = out_h * out_w;
+  for (std::size_t n = 0; n < batch; ++n) {
+    double* out = output.data() + n * out_c_ * npos;
+    for (std::size_t oc = 0; oc < out_c_; ++oc) {
+      std::fill(out + oc * npos, out + (oc + 1) * npos, bias_[oc]);
+    }
+    const double* xs = padded_.data() + n * sample;
+    for (std::size_t oh = 0; oh < out_h; ++oh) {
+      chain(weight_.data(), ckk, 1, xs + oh * wp, offsets_.data(), ckk,
+            out + oh * out_w, npos, out_c_, out_w);
+    }
+  }
+  return output;
 }
 
 Tensor Conv2D::backward(const Tensor& grad_output) {
-  if (cached_input_.rank() != 4) {
+  return accumulate_backward(grad_output, true);
+}
+
+void Conv2D::backward_params(const Tensor& grad_output) {
+  accumulate_backward(grad_output, false);
+}
+
+Tensor Conv2D::accumulate_backward(const Tensor& grad_output,
+                                   bool input_grad) {
+  if (input_shape_.size() != 4) {
     throw std::logic_error("Conv2D::backward: no matching forward pass");
   }
-  const std::size_t batch = cached_input_.dim(0);
-  const std::size_t h = cached_input_.dim(2);
-  const std::size_t w = cached_input_.dim(3);
-  const std::size_t out_h = h + 2 * pad_ - k_ + 1;
-  const std::size_t out_w = w + 2 * pad_ - k_ + 1;
+  const std::size_t batch = input_shape_[0];
+  const std::size_t h = input_shape_[2];
+  const std::size_t w = input_shape_[3];
+  const std::size_t hp = h + 2 * pad_;
+  const std::size_t wp = w + 2 * pad_;
+  const std::size_t out_h = hp - k_ + 1;
+  const std::size_t out_w = wp - k_ + 1;
   if (grad_output.rank() != 4 || grad_output.dim(0) != batch ||
       grad_output.dim(1) != out_c_ || grad_output.dim(2) != out_h ||
       grad_output.dim(3) != out_w) {
     throw std::invalid_argument("Conv2D::backward: grad shape mismatch");
   }
-  return mode_ == Mode::Im2col ? backward_im2col(grad_output)
-                               : backward_direct(grad_output);
-}
-
-// --- im2col path -----------------------------------------------------------
-//
-// Forward lowers each sample to a patch matrix P [npos x ckk] (row p =
-// output position (oh, ow), column c = (ic, kh, kw), zero-filled where the
-// receptive field leaves the padded input) and computes the whole sample as
-// one gemm: out = bias + W * P^T with W [out_c x ckk].  The gemm accumulates
-// each output entry sequentially over the patch in the same (ic, kh, kw)
-// order as the direct loop nest, starting from the bias, so the result is
-// bitwise identical to Direct mode.
-//
-// Backward rebuilds the patches transposed (Pt [ckk x npos]) and reuses the
-// same kernel for both products:
-//   grad_W   += GY * Pt^T            (GY [out_c x npos])
-//   grad_P    = GY^T * W             (via transposes, then col2im scatter)
-
-Tensor Conv2D::forward_im2col(const Tensor& input) {
-  const std::size_t batch = input.dim(0);
-  const std::size_t h = input.dim(2);
-  const std::size_t w = input.dim(3);
-  const std::size_t out_h = h + 2 * pad_ - k_ + 1;
-  const std::size_t out_w = w + 2 * pad_ - k_ + 1;
   const std::size_t npos = out_h * out_w;
   const std::size_t ckk = in_c_ * k_ * k_;
+  const std::size_t sample = in_c_ * hp * wp;
 
-  Tensor output({batch, out_c_, out_h, out_w});
-  std::vector<double> patches(npos * ckk);
-  for (std::size_t n = 0; n < batch; ++n) {
-    // Lower sample n: row p of `patches` is the receptive field at output
-    // position p in (ic, kh, kw) order.
-    std::fill(patches.begin(), patches.end(), 0.0);
-    for (std::size_t oh = 0; oh < out_h; ++oh) {
-      for (std::size_t ow = 0; ow < out_w; ++ow) {
-        double* patch = patches.data() + (oh * out_w + ow) * ckk;
-        for (std::size_t ic = 0; ic < in_c_; ++ic) {
-          for (std::size_t kh = 0; kh < k_; ++kh) {
-            const std::ptrdiff_t ih = static_cast<std::ptrdiff_t>(oh + kh) -
-                                      static_cast<std::ptrdiff_t>(pad_);
-            if (ih < 0 || ih >= static_cast<std::ptrdiff_t>(h)) continue;
-            for (std::size_t kw = 0; kw < k_; ++kw) {
-              const std::ptrdiff_t iw = static_cast<std::ptrdiff_t>(ow + kw) -
-                                        static_cast<std::ptrdiff_t>(pad_);
-              if (iw < 0 || iw >= static_cast<std::ptrdiff_t>(w)) continue;
-              patch[(ic * k_ + kh) * k_ + kw] =
-                  input.at4(n, ic, static_cast<std::size_t>(ih),
-                            static_cast<std::size_t>(iw));
-            }
-          }
-        }
-      }
-    }
-    // Sample slab [out_c x npos] is contiguous in the output tensor.
-    double* out = output.data() + n * out_c_ * npos;
-    for (std::size_t oc = 0; oc < out_c_; ++oc) {
-      std::fill(out + oc * npos, out + (oc + 1) * npos, bias_[oc]);
-    }
-    kernels::matmul_abt(weight_.data(), out_c_, patches.data(), npos, ckk,
-                        out, npos);
-  }
-  return output;
-}
-
-Tensor Conv2D::backward_im2col(const Tensor& grad_output) {
-  const std::size_t batch = cached_input_.dim(0);
-  const std::size_t h = cached_input_.dim(2);
-  const std::size_t w = cached_input_.dim(3);
-  const std::size_t out_h = h + 2 * pad_ - k_ + 1;
-  const std::size_t out_w = w + 2 * pad_ - k_ + 1;
-  const std::size_t npos = out_h * out_w;
-  const std::size_t ckk = in_c_ * k_ * k_;
-
-  // W^T [ckk x out_c], shared by every sample's grad-input product.
-  std::vector<double> weight_t(ckk * out_c_);
-  for (std::size_t oc = 0; oc < out_c_; ++oc) {
-    for (std::size_t c = 0; c < ckk; ++c) {
-      weight_t[c * out_c_ + oc] = weight_[oc * ckk + c];
-    }
-  }
-
-  Tensor grad_input({batch, in_c_, h, w});
-  std::vector<double> patches_t(ckk * npos);  // Pt [ckk x npos]
-  std::vector<double> gy_t(npos * out_c_);    // GY^T [npos x out_c]
-  std::vector<double> grad_cols(npos * ckk);  // grad of P [npos x ckk]
+  // Patch rows and their gradients for one output row at a time: p still
+  // ascends across rows, so the per-entry add order is the whole sample's.
+  // The input gradient is scattered onto a padded sample, so every patch
+  // entry lands in bounds; its border is dropped when the sample is
+  // copied out.
+  Tensor grad_input;
+  if (input_grad) grad_input = Tensor(input_shape_);
+  std::vector<double> patches(out_w * ckk);
+  std::vector<double> grad_cols(input_grad ? out_w * ckk : 0);
+  std::vector<double> grad_padded(input_grad ? sample : 0);
+  // Row offsets of the patch and weight matrices, both ckk wide.
+  std::vector<std::size_t> rows(std::max(out_w, out_c_));
+  for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = i * ckk;
   for (std::size_t n = 0; n < batch; ++n) {
     const double* gy = grad_output.data() + n * out_c_ * npos;
+    const double* xs = padded_.data() + n * sample;
 
     // grad_bias[oc] += sum over positions.
     for (std::size_t oc = 0; oc < out_c_; ++oc) {
@@ -159,142 +197,36 @@ Tensor Conv2D::backward_im2col(const Tensor& grad_output) {
       grad_bias_[oc] += s;
     }
 
-    // Transposed im2col of sample n: Pt[c][p].
-    std::fill(patches_t.begin(), patches_t.end(), 0.0);
-    for (std::size_t ic = 0; ic < in_c_; ++ic) {
-      for (std::size_t kh = 0; kh < k_; ++kh) {
-        for (std::size_t kw = 0; kw < k_; ++kw) {
-          double* prow = patches_t.data() + ((ic * k_ + kh) * k_ + kw) * npos;
-          for (std::size_t oh = 0; oh < out_h; ++oh) {
-            const std::ptrdiff_t ih = static_cast<std::ptrdiff_t>(oh + kh) -
-                                      static_cast<std::ptrdiff_t>(pad_);
-            if (ih < 0 || ih >= static_cast<std::ptrdiff_t>(h)) continue;
-            for (std::size_t ow = 0; ow < out_w; ++ow) {
-              const std::ptrdiff_t iw = static_cast<std::ptrdiff_t>(ow + kw) -
-                                        static_cast<std::ptrdiff_t>(pad_);
-              if (iw < 0 || iw >= static_cast<std::ptrdiff_t>(w)) continue;
-              prow[oh * out_w + ow] =
-                  cached_input_.at4(n, ic, static_cast<std::size_t>(ih),
-                                    static_cast<std::size_t>(iw));
-            }
-          }
-        }
-      }
-    }
-
-    // grad_W += GY * Pt^T  (accumulates across samples and backward calls).
-    kernels::matmul_abt(gy, out_c_, patches_t.data(), ckk, npos,
-                        grad_weight_.data(), ckk);
-
-    // grad_P = GY^T * W, then col2im scatter-add into grad_input.
-    for (std::size_t oc = 0; oc < out_c_; ++oc) {
-      for (std::size_t p = 0; p < npos; ++p) {
-        gy_t[p * out_c_ + oc] = gy[oc * npos + p];
-      }
-    }
-    std::fill(grad_cols.begin(), grad_cols.end(), 0.0);
-    kernels::matmul_abt(gy_t.data(), npos, weight_t.data(), ckk, out_c_,
-                        grad_cols.data(), ckk);
+    std::fill(grad_padded.begin(), grad_padded.end(), 0.0);
     for (std::size_t oh = 0; oh < out_h; ++oh) {
+      const double* gy_row = gy + oh * out_w;
       for (std::size_t ow = 0; ow < out_w; ++ow) {
-        const double* col = grad_cols.data() + (oh * out_w + ow) * ckk;
-        for (std::size_t ic = 0; ic < in_c_; ++ic) {
-          for (std::size_t kh = 0; kh < k_; ++kh) {
-            const std::ptrdiff_t ih = static_cast<std::ptrdiff_t>(oh + kh) -
-                                      static_cast<std::ptrdiff_t>(pad_);
-            if (ih < 0 || ih >= static_cast<std::ptrdiff_t>(h)) continue;
-            for (std::size_t kw = 0; kw < k_; ++kw) {
-              const std::ptrdiff_t iw = static_cast<std::ptrdiff_t>(ow + kw) -
-                                        static_cast<std::ptrdiff_t>(pad_);
-              if (iw < 0 || iw >= static_cast<std::ptrdiff_t>(w)) continue;
-              grad_input.at4(n, ic, static_cast<std::size_t>(ih),
-                             static_cast<std::size_t>(iw)) +=
-                  col[(ic * k_ + kh) * k_ + kw];
-            }
-          }
-        }
+        double* prow = patches.data() + ow * ckk;
+        const double* corner = xs + oh * wp + ow;
+        for (std::size_t c = 0; c < ckk; ++c) prow[c] = corner[offsets_[c]];
+      }
+      // grad_W[oc][.] += gy[oc][p] * P[p][.] over this row's positions.
+      chain(gy_row, npos, 1, patches.data(), rows.data(), out_w,
+            grad_weight_.data(), ckk, out_c_, ckk);
+      if (!input_grad) continue;
+
+      // grad_P[p][.] = sum_oc gy[oc][p] * W[oc][.], from a zero fill, then
+      // scatter-added onto the input positions each patch covers (col2im).
+      std::fill(grad_cols.begin(), grad_cols.end(), 0.0);
+      chain(gy_row, 1, npos, weight_.data(), rows.data(), out_c_,
+            grad_cols.data(), ckk, out_w, ckk);
+      for (std::size_t ow = 0; ow < out_w; ++ow) {
+        const double* col = grad_cols.data() + ow * ckk;
+        double* corner = grad_padded.data() + oh * wp + ow;
+        for (std::size_t c = 0; c < ckk; ++c) corner[offsets_[c]] += col[c];
       }
     }
-  }
-  return grad_input;
-}
-
-// --- direct path (reference) ----------------------------------------------
-
-Tensor Conv2D::forward_direct(const Tensor& input) {
-  const std::size_t batch = input.dim(0);
-  const std::size_t h = input.dim(2);
-  const std::size_t w = input.dim(3);
-  const std::size_t out_h = h + 2 * pad_ - k_ + 1;
-  const std::size_t out_w = w + 2 * pad_ - k_ + 1;
-  Tensor output({batch, out_c_, out_h, out_w});
-  for (std::size_t n = 0; n < batch; ++n) {
-    for (std::size_t oc = 0; oc < out_c_; ++oc) {
-      for (std::size_t oh = 0; oh < out_h; ++oh) {
-        for (std::size_t ow = 0; ow < out_w; ++ow) {
-          double acc = bias_[oc];
-          for (std::size_t ic = 0; ic < in_c_; ++ic) {
-            for (std::size_t kh = 0; kh < k_; ++kh) {
-              const std::ptrdiff_t ih =
-                  static_cast<std::ptrdiff_t>(oh + kh) -
-                  static_cast<std::ptrdiff_t>(pad_);
-              if (ih < 0 || ih >= static_cast<std::ptrdiff_t>(h)) continue;
-              for (std::size_t kw = 0; kw < k_; ++kw) {
-                const std::ptrdiff_t iw =
-                    static_cast<std::ptrdiff_t>(ow + kw) -
-                    static_cast<std::ptrdiff_t>(pad_);
-                if (iw < 0 || iw >= static_cast<std::ptrdiff_t>(w)) continue;
-                acc += weight_[((oc * in_c_ + ic) * k_ + kh) * k_ + kw] *
-                       input.at4(n, ic, static_cast<std::size_t>(ih),
-                                 static_cast<std::size_t>(iw));
-              }
-            }
-          }
-          output.at4(n, oc, oh, ow) = acc;
-        }
-      }
-    }
-  }
-  return output;
-}
-
-Tensor Conv2D::backward_direct(const Tensor& grad_output) {
-  const std::size_t batch = cached_input_.dim(0);
-  const std::size_t h = cached_input_.dim(2);
-  const std::size_t w = cached_input_.dim(3);
-  const std::size_t out_h = h + 2 * pad_ - k_ + 1;
-  const std::size_t out_w = w + 2 * pad_ - k_ + 1;
-  Tensor grad_input({batch, in_c_, h, w});
-  for (std::size_t n = 0; n < batch; ++n) {
-    for (std::size_t oc = 0; oc < out_c_; ++oc) {
-      for (std::size_t oh = 0; oh < out_h; ++oh) {
-        for (std::size_t ow = 0; ow < out_w; ++ow) {
-          const double gy = grad_output.at4(n, oc, oh, ow);
-          if (gy == 0.0) continue;
-          grad_bias_[oc] += gy;
-          for (std::size_t ic = 0; ic < in_c_; ++ic) {
-            for (std::size_t kh = 0; kh < k_; ++kh) {
-              const std::ptrdiff_t ih =
-                  static_cast<std::ptrdiff_t>(oh + kh) -
-                  static_cast<std::ptrdiff_t>(pad_);
-              if (ih < 0 || ih >= static_cast<std::ptrdiff_t>(h)) continue;
-              for (std::size_t kw = 0; kw < k_; ++kw) {
-                const std::ptrdiff_t iw =
-                    static_cast<std::ptrdiff_t>(ow + kw) -
-                    static_cast<std::ptrdiff_t>(pad_);
-                if (iw < 0 || iw >= static_cast<std::ptrdiff_t>(w)) continue;
-                const std::size_t widx =
-                    ((oc * in_c_ + ic) * k_ + kh) * k_ + kw;
-                grad_weight_[widx] +=
-                    gy * cached_input_.at4(n, ic, static_cast<std::size_t>(ih),
-                                           static_cast<std::size_t>(iw));
-                grad_input.at4(n, ic, static_cast<std::size_t>(ih),
-                               static_cast<std::size_t>(iw)) +=
-                    gy * weight_[widx];
-              }
-            }
-          }
-        }
+    if (!input_grad) continue;
+    for (std::size_t ic = 0; ic < in_c_; ++ic) {
+      const double* src = grad_padded.data() + (ic * hp + pad_) * wp + pad_;
+      double* dst = grad_input.data() + (n * in_c_ + ic) * h * w;
+      for (std::size_t ih = 0; ih < h; ++ih) {
+        std::copy(src + ih * wp, src + ih * wp + w, dst + ih * w);
       }
     }
   }

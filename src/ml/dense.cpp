@@ -68,6 +68,15 @@ Tensor Dense::forward(const Tensor& input) {
 }
 
 Tensor Dense::backward(const Tensor& grad_output) {
+  return accumulate_backward(grad_output, true);
+}
+
+void Dense::backward_params(const Tensor& grad_output) {
+  accumulate_backward(grad_output, false);
+}
+
+Tensor Dense::accumulate_backward(const Tensor& grad_output,
+                                  bool input_grad) {
   if (grad_output.rank() != 2 || grad_output.dim(1) != out_) {
     throw std::invalid_argument("Dense::backward: expected [N, out] grad");
   }
@@ -81,11 +90,12 @@ Tensor Dense::backward(const Tensor& grad_output) {
 
   // Same blocking as forward: weight rows (and grad-weight rows) stay
   // cache-resident while the batch sweeps them.
-  Tensor grad_input({batch, in_});
+  Tensor grad_input;
+  if (input_grad) grad_input = Tensor({batch, in_});
   constexpr std::size_t kInBlock = 8;
   for (std::size_t i0 = 0; i0 < in_; i0 += kInBlock) {
     const std::size_t iw = std::min(kInBlock, in_ - i0);
-    for (std::size_t n = 0; n < batch; ++n) {
+    for (std::size_t n = 0; input_grad && n < batch; ++n) {
       // gx[n][i] = gy[n] . W_i: the stored [in, out] rows are already
       // contiguous for the multi-row dot kernel.
       kernels::dot_rows(grad_output.data() + n * out_,

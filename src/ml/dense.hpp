@@ -7,8 +7,9 @@
 // with the historical per-row loops to rounding (exactly on
 // exactly-representable inputs).  The outer-product updates (grad-weight,
 // grad-bias) keep the historical accumulation order via kernels::axpy /
-// col_sum and are bitwise identical.  The parameter layout (row-major
-// [in, out] plus bias) is unchanged, so checkpoints round-trip.
+// col_sum and are bitwise identical; backward_params() skips the
+// grad-input products and leaves them unchanged.  The parameter layout
+// (row-major [in, out] plus bias) is unchanged, so checkpoints round-trip.
 
 #include "ml/layer.hpp"
 
@@ -21,6 +22,7 @@ class Dense final : public Layer {
   std::string name() const override { return "Dense"; }
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
 
   std::size_t parameter_count() const override {
     return in_ * out_ + out_;
@@ -37,6 +39,11 @@ class Dense final : public Layer {
   std::size_t out_features() const { return out_; }
 
  private:
+  /// Checks grad_output against the last forward() and accumulates the
+  /// parameter gradients; returns dLoss/dInput when `input_grad` is set,
+  /// else an empty tensor.
+  Tensor accumulate_backward(const Tensor& grad_output, bool input_grad);
+
   std::size_t in_;
   std::size_t out_;
   std::vector<double> weight_;       // [in, out], row-major

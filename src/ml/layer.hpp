@@ -28,6 +28,14 @@ class Layer {
   /// gradients, returns dLoss/dInput.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
+  /// backward() without dLoss/dInput, for the first layer with parameters,
+  /// whose input gradient nobody reads.  Accumulates the same parameter
+  /// gradients, bit for bit, after the same shape checks.  The default
+  /// calls backward(); layers whose input gradient costs real work skip it.
+  virtual void backward_params(const Tensor& grad_output) {
+    backward(grad_output);
+  }
+
   /// Number of trainable scalars (0 for activations / pooling).
   virtual std::size_t parameter_count() const { return 0; }
 

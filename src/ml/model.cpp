@@ -1,5 +1,6 @@
 #include "ml/model.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace bcl::ml {
@@ -66,10 +67,13 @@ Tensor Model::forward(const Tensor& input) {
 }
 
 void Model::backward(const Tensor& grad_output) {
+  const auto first = std::find_if(
+      layers_.begin(), layers_.end(),
+      [](const auto& layer) { return layer->parameter_count() > 0; });
+  if (first == layers_.end()) return;
   Tensor g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
-  }
+  for (auto it = layers_.end() - 1; it != first; --it) g = (*it)->backward(g);
+  (*first)->backward_params(g);
 }
 
 double Model::compute_loss_and_gradient(
@@ -87,18 +91,22 @@ double Model::compute_loss(const Tensor& batch,
   return softmax_cross_entropy(logits, labels).loss;
 }
 
-double Model::accuracy(const Tensor& batch,
-                       const std::vector<std::uint8_t>& labels) {
-  const Tensor logits = forward(batch);
-  const auto predictions = argmax_rows(logits);
+std::size_t Model::correct_predictions(
+    const Tensor& batch, const std::vector<std::uint8_t>& labels) {
+  const auto predictions = argmax_rows(forward(batch));
   std::size_t correct = 0;
   for (std::size_t i = 0; i < predictions.size(); ++i) {
     if (predictions[i] == labels[i]) ++correct;
   }
-  return predictions.empty()
-             ? 0.0
-             : static_cast<double>(correct) /
-                   static_cast<double>(predictions.size());
+  return correct;
+}
+
+double Model::accuracy(const Tensor& batch,
+                       const std::vector<std::uint8_t>& labels) {
+  const std::size_t correct = correct_predictions(batch, labels);
+  const std::size_t rows = batch.dim(0);
+  return rows == 0 ? 0.0
+                   : static_cast<double>(correct) / static_cast<double>(rows);
 }
 
 }  // namespace bcl::ml

@@ -25,6 +25,9 @@ class Model {
 
   std::size_t num_layers() const { return layers_.size(); }
 
+  /// Layer `index` in forward order.
+  Layer& layer(std::size_t index) { return *layers_.at(index); }
+
   /// Total trainable parameter count d.
   std::size_t parameter_count() const;
 
@@ -51,7 +54,10 @@ class Model {
   /// Forward pass through all layers.
   Tensor forward(const Tensor& input);
 
-  /// Backward pass from dLoss/dOutput.
+  /// Backward pass from dLoss/dOutput: accumulates every parameter
+  /// gradient.  dLoss/dInput is never formed: the walk ends at the first
+  /// layer with parameters, which runs backward_params(), and skips the
+  /// parameterless layers before it (CifarNet's Reshape).
   void backward(const Tensor& grad_output);
 
   /// One-shot loss + gradient on a batch: zeroes gradients, runs forward,
@@ -64,7 +70,11 @@ class Model {
   double compute_loss(const Tensor& batch,
                       const std::vector<std::uint8_t>& labels);
 
-  /// Fraction of correctly classified rows.
+  /// Number of rows whose highest logit is at their label.
+  std::size_t correct_predictions(const Tensor& batch,
+                                  const std::vector<std::uint8_t>& labels);
+
+  /// Fraction of correctly classified rows (0 for an empty batch).
   double accuracy(const Tensor& batch, const std::vector<std::uint8_t>& labels);
 
  private:

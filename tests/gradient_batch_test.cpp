@@ -1,21 +1,19 @@
 // Regression suite for the contiguous GradientBatch layout, the Gram-trick
-// distance build, and the batch-native rule/layer paths.
+// distance build, and the batch-native rule paths.
 //
 // The contracts under test:
 //  - Gram-trick distances agree with the exact per-pair build within 1e-9
 //    relative tolerance on randomized inputs (and exactly for duplicate
 //    rows), serial and pool builds bitwise identical;
 //  - every rule rejects a workspace built over a different batch (the
-//    per-pair vs Gram selection oracle lives in distance_matrix_test);
-//  - the im2col Conv2D matches the direct convolution exactly on forward
-//    and to 1e-12 on gradients (the accumulation orders differ).
+//    per-pair vs Gram selection oracle lives in distance_matrix_test).
+// Conv2D's oracle comparisons live in conv2d_oracle_test.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/bcl.hpp"
-#include "ml/conv2d.hpp"
 
 namespace bcl {
 namespace {
@@ -65,32 +63,6 @@ TEST(GradientBatch, MeanMatchesVectorListMeanExactly) {
 }
 
 // --- kernel contracts -----------------------------------------------------
-
-TEST(Kernels, MatmulAbtIsBitwiseSequentialPerEntry) {
-  Rng rng(30);
-  const std::size_t ma = 5, mb = 11, k = 37;
-  std::vector<double> a(ma * k), b(mb * k);
-  for (auto& v : a) v = rng.uniform(-3.0, 3.0);
-  for (auto& v : b) v = rng.uniform(-3.0, 3.0);
-  std::vector<double> c0(ma * mb, 0.0);
-  kernels::matmul_abt(a.data(), ma, b.data(), mb, k, c0.data(), mb);
-  std::vector<double> c1(ma * mb, 0.5);  // non-zero seed (the conv bias case)
-  kernels::matmul_abt(a.data(), ma, b.data(), mb, k, c1.data(), mb);
-  for (std::size_t i = 0; i < ma; ++i) {
-    for (std::size_t j = 0; j < mb; ++j) {
-      // The documented contract: the accumulator is seeded with the
-      // existing C value and products are added in increasing k — with a
-      // zero seed that is exactly dot_seq.
-      EXPECT_EQ(c0[i * mb + j],
-                kernels::dot_seq(a.data() + i * k, b.data() + j * k, k));
-      double seeded = 0.5;
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        seeded += a[i * k + kk] * b[j * k + kk];
-      }
-      EXPECT_EQ(c1[i * mb + j], seeded);
-    }
-  }
-}
 
 TEST(Kernels, GramUpperMatchesDotsWithinTolerance) {
   Rng rng(42);
@@ -271,70 +243,6 @@ TEST(BatchRules, WorkspaceOverWrongBatchThrows) {
                  std::invalid_argument)
         << "rule " << name;
   }
-}
-
-// --- im2col Conv2D vs direct ---------------------------------------------
-
-void fill_tensor(ml::Tensor& t, Rng& rng) {
-  for (std::size_t i = 0; i < t.size(); ++i) t[i] = rng.uniform(-2.0, 2.0);
-}
-
-void compare_conv_modes(std::size_t in_c, std::size_t out_c, std::size_t k,
-                        std::size_t pad, std::size_t n, std::size_t h,
-                        std::size_t w, std::uint64_t seed) {
-  ml::Conv2D fast(in_c, out_c, k, pad, ml::Conv2D::Mode::Im2col);
-  ml::Conv2D direct(in_c, out_c, k, pad, ml::Conv2D::Mode::Direct);
-  Rng init(seed);
-  fast.initialize(init);
-  std::vector<double> params(fast.parameter_count());
-  fast.read_parameters(params.data());
-  direct.write_parameters(params.data());
-
-  Rng data(seed + 1);
-  ml::Tensor x({n, in_c, h, w});
-  fill_tensor(x, data);
-  const ml::Tensor y_fast = fast.forward(x);
-  const ml::Tensor y_direct = direct.forward(x);
-  ASSERT_EQ(y_fast.shape(), y_direct.shape());
-  // Forward is exact: the gemm accumulates each output in the same
-  // (ic, kh, kw) order as the direct loops, bias first.
-  for (std::size_t i = 0; i < y_fast.size(); ++i) {
-    EXPECT_EQ(y_fast[i], y_direct[i]) << "output " << i;
-  }
-
-  ml::Tensor gy(y_fast.shape());
-  fill_tensor(gy, data);
-  const ml::Tensor gx_fast = fast.backward(gy);
-  const ml::Tensor gx_direct = direct.backward(gy);
-  std::vector<double> g_fast(fast.parameter_count());
-  std::vector<double> g_direct(direct.parameter_count());
-  fast.read_gradients(g_fast.data());
-  direct.read_gradients(g_direct.data());
-  // Backward contributions arrive in a different order (per-position scatter
-  // vs per-entry gemm), so agreement is to rounding, not bitwise.
-  for (std::size_t i = 0; i < gx_fast.size(); ++i) {
-    EXPECT_NEAR(gx_fast[i], gx_direct[i],
-                1e-12 * (1.0 + std::abs(gx_direct[i])));
-  }
-  for (std::size_t i = 0; i < g_fast.size(); ++i) {
-    EXPECT_NEAR(g_fast[i], g_direct[i],
-                1e-12 * (1.0 + std::abs(g_direct[i])));
-  }
-}
-
-TEST(Im2colConv, MatchesDirectNoPadding) {
-  compare_conv_modes(1, 1, 2, 0, 1, 3, 3, 51);
-  compare_conv_modes(2, 3, 3, 0, 2, 5, 4, 52);
-}
-
-TEST(Im2colConv, MatchesDirectWithPadding) {
-  compare_conv_modes(2, 4, 3, 1, 2, 5, 5, 53);
-  compare_conv_modes(3, 2, 3, 2, 1, 4, 6, 54);
-}
-
-TEST(Im2colConv, DefaultModeIsIm2col) {
-  ml::Conv2D conv(1, 1, 3, 1);
-  EXPECT_EQ(conv.mode(), ml::Conv2D::Mode::Im2col);
 }
 
 // --- borrowed row-table views (inbox_views) --------------------------------

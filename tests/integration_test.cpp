@@ -157,10 +157,9 @@ TEST(Integration, EndToEndParallelDeterminism) {
   const auto parallel = run(&pool);
   ASSERT_EQ(serial.history.size(), parallel.history.size());
   for (std::size_t r = 0; r < serial.history.size(); ++r) {
-    EXPECT_DOUBLE_EQ(serial.history[r].accuracy,
-                     parallel.history[r].accuracy);
-    EXPECT_DOUBLE_EQ(serial.history[r].disagreement,
-                     parallel.history[r].disagreement);
+    EXPECT_EQ(serial.history[r].accuracy, parallel.history[r].accuracy);
+    EXPECT_EQ(serial.history[r].disagreement,
+              parallel.history[r].disagreement);
   }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
 
 #include "aggregation/registry.hpp"
 #include "attacks/registry.hpp"
@@ -13,6 +14,7 @@
 #include "learning/config.hpp"
 #include "learning/decentralized.hpp"
 #include "ml/architectures.hpp"
+#include "ml/optimizer.hpp"
 #include "util/thread_pool.hpp"
 
 namespace bcl {
@@ -112,6 +114,77 @@ TEST(Client, EvaluateReturnsFraction) {
       evaluate_with(scratch, probe.parameters(), data.test, 50);
   EXPECT_GE(acc, 0.0);
   EXPECT_LE(acc, 1.0);
+}
+
+// Parameters after a few local SGD steps, so predictions vary across the
+// test set and an evaluation that read the wrong examples would show.
+Vector trained_parameters(const ModelFactory& factory,
+                          const ml::Dataset& train, std::uint64_t seed) {
+  ml::Model model = factory();
+  Rng rng(seed);
+  model.initialize(rng);
+  Vector theta = model.parameters();
+  std::vector<std::size_t> indices(32);
+  for (int step = 0; step < 20; ++step) {
+    for (auto& i : indices) i = rng.uniform_u64(train.size());
+    model.set_parameters(theta);
+    model.compute_loss_and_gradient(train.batch(indices),
+                                    train.batch_labels(indices));
+    ml::sgd_step(theta, model.gradients(), 0.5);
+  }
+  return theta;
+}
+
+// The centralized trainer evaluates on every lane: each lane counts its
+// contiguous range of the test set in kEvalBatch mini-batches.  The
+// accuracy must be bitwise one single-batch Model::accuracy over the same
+// examples at any lane count, including fewer examples than lanes, and so
+// must the one-lane path the decentralized trainer takes per node.
+void expect_lane_split_matches_single_batch(const ml::TrainTestSplit& data,
+                                            const ModelFactory& factory) {
+  ASSERT_EQ(data.test.size(), 250u);
+  const Vector theta = trained_parameters(factory, data.train, 17);
+  ml::Model reference = factory();
+  reference.set_parameters(theta);
+  ThreadPool one(1);
+  ThreadPool two(2);
+  ThreadPool three(3);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &two,
+                           &three}) {
+    TrainingConfig cfg = base_config("MEAN", "none");
+    cfg.pool = pool;
+    TrainerSetup setup(cfg, factory, data.train);
+    for (const std::size_t max_examples : {0, 1, 7, 33, 250}) {
+      const std::size_t count =
+          max_examples == 0 ? data.test.size() : max_examples;
+      std::vector<std::size_t> indices(count);
+      std::iota(indices.begin(), indices.end(), std::size_t{0});
+      const double want = reference.accuracy(data.test.batch(indices),
+                                             data.test.batch_labels(indices));
+      EXPECT_EQ(setup.evaluate_on_all_lanes(theta, data.test, max_examples),
+                want)
+          << "workers " << (pool ? pool->size() : 0) << ", max_examples "
+          << max_examples;
+      EXPECT_EQ(setup.evaluate(0, theta, data.test, max_examples), want);
+    }
+  }
+}
+
+TEST(Client, LaneSplitEvaluationMatchesSingleBatchMlp) {
+  ml::SyntheticSpec spec = tiny_spec(14);
+  spec.test_per_class = 25;
+  const auto data = ml::make_synthetic_dataset(spec);
+  expect_lane_split_matches_single_batch(
+      data, tiny_mlp_factory(data.train.feature_dim()));
+}
+
+TEST(Client, LaneSplitEvaluationMatchesSingleBatchCifarNet) {
+  ml::SyntheticSpec spec = ml::SyntheticSpec::cifar_small(15);
+  spec.train_per_class = 20;
+  const auto data = ml::make_synthetic_dataset(spec);
+  expect_lane_split_matches_single_batch(data, [] {
+    return ml::make_cifarnet(3, 16, 16, 10, 4, 8, 24);
+  });
 }
 
 // More clients than training examples leaves some partition shards empty;
@@ -218,24 +291,32 @@ TEST(Centralized, DeterministicGivenSeed) {
   }
 }
 
-TEST(Centralized, ParallelPoolMatchesSerial) {
-  const auto data = ml::make_synthetic_dataset(tiny_spec(7));
+void expect_pool_matches_serial(const ml::TrainTestSplit& data,
+                                const ModelFactory& factory) {
   ThreadPool pool(3);
   auto run_with = [&](ThreadPool* p) {
     TrainingConfig cfg = base_config("BOX-MEAN", "sign-flip");
     cfg.rounds = 3;
     cfg.pool = p;
-    CentralizedTrainer trainer(cfg,
-                               tiny_mlp_factory(data.train.feature_dim()),
-                               &data.train, &data.test);
+    CentralizedTrainer trainer(cfg, factory, &data.train, &data.test);
     return trainer.run();
   };
   const auto serial = run_with(nullptr);
   const auto parallel = run_with(&pool);
+  ASSERT_EQ(serial.history.size(), parallel.history.size());
   for (std::size_t r = 0; r < serial.history.size(); ++r) {
-    EXPECT_DOUBLE_EQ(serial.history[r].accuracy,
-                     parallel.history[r].accuracy);
+    EXPECT_EQ(serial.history[r].accuracy, parallel.history[r].accuracy);
   }
+}
+
+TEST(Centralized, ParallelPoolMatchesSerial) {
+  const auto data = ml::make_synthetic_dataset(tiny_spec(7));
+  expect_pool_matches_serial(data, tiny_mlp_factory(data.train.feature_dim()));
+  ml::SyntheticSpec spec = ml::SyntheticSpec::cifar_small(7);
+  spec.train_per_class = 20;
+  const auto cifar = ml::make_synthetic_dataset(spec);
+  expect_pool_matches_serial(
+      cifar, [] { return ml::make_cifarnet(3, 16, 16, 10, 4, 8, 24); });
 }
 
 TEST(Centralized, RobustRuleSurvivesSignFlip) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <set>
 
@@ -352,6 +353,62 @@ TEST(Model, CifarNetShapesFlowThrough) {
 TEST(Model, CifarNetGradientCheck) {
   Model model = make_cifarnet(1, 8, 8, 3, 2, 3, 6);
   check_gradients(model, 64, 3, 2, 17, 1e-5);
+}
+
+// Model::backward ends at the first layer with parameters, through its
+// backward_params(), and never forms dLoss/dInput.  Its parameter
+// gradients must be bitwise those of a walk that runs every layer's full
+// backward().
+void expect_backward_matches_full_walk(Model fast, Model full,
+                                       std::size_t input_dim,
+                                       std::size_t classes,
+                                       std::uint64_t seed) {
+  Rng rng(seed);
+  fast.initialize(rng);
+  full.set_parameters(fast.parameters());
+  const std::size_t batch = 6;
+  Tensor x({batch, input_dim});
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] = rng.uniform(-1.0, 1.0);
+  std::vector<std::uint8_t> labels(batch);
+  for (auto& label : labels) {
+    label = static_cast<std::uint8_t>(rng.uniform_u64(classes));
+  }
+
+  fast.compute_loss_and_gradient(x, labels);
+  full.zero_gradients();
+  Tensor g = softmax_cross_entropy(full.forward(x), labels).grad_logits;
+  for (std::size_t i = full.num_layers(); i-- > 0;) {
+    g = full.layer(i).backward(g);
+  }
+  const Vector want = full.gradients();
+  const Vector got = fast.gradients();
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+            0);
+}
+
+TEST(Model, BackwardMatchesFullLayerWalkBitwise) {
+  expect_backward_matches_full_walk(make_mlp(20, 12, 8, 5),
+                                    make_mlp(20, 12, 8, 5), 20, 5, 31);
+  expect_backward_matches_full_walk(make_cifarnet(3, 16, 16, 10, 4, 8, 24),
+                                    make_cifarnet(3, 16, 16, 10, 4, 8, 24),
+                                    3 * 16 * 16, 10, 32);
+}
+
+TEST(Model, ParamsOnlyBackwardKeepsShapeChecks) {
+  Dense dense(4, 3);
+  EXPECT_THROW(dense.backward_params(Tensor({2, 3})), std::logic_error);
+  dense.forward(Tensor({2, 4}));
+  EXPECT_THROW(dense.backward_params(Tensor({2, 2})), std::invalid_argument);
+  EXPECT_THROW(dense.backward_params(Tensor({3, 3})), std::logic_error);
+
+  Conv2D conv(1, 2, 3, 1);
+  EXPECT_THROW(conv.backward_params(Tensor({1, 2, 4, 4})), std::logic_error);
+  conv.forward(Tensor({1, 1, 4, 4}));
+  EXPECT_THROW(conv.backward_params(Tensor({1, 2, 4, 3})),
+               std::invalid_argument);
+  EXPECT_THROW(conv.backward_params(Tensor({2, 2, 4, 4})),
+               std::invalid_argument);
 }
 
 // --- optimizer ---
