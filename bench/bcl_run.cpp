@@ -148,7 +148,9 @@ int main(int argc, char** argv) {
         "n",  "t",     "model",     "rounds", "batch",    "lr",
         "subrounds", "delay", "net", "comp", "stale", "cohort", "seed",
         "eval-max", "trace"};
-    const std::size_t threads = bench::thread_count(args);
+    const std::size_t threads = args.get_count("threads", 0);
+    const std::size_t jobs =
+        std::max<std::size_t>(1, args.get_count("jobs", 1));
 
     std::vector<ScenarioSpec> specs;
     if (args.has("scenario")) {
@@ -226,8 +228,6 @@ int main(int argc, char** argv) {
     experiments::ScenarioRunner runner(&pool);
     bench::EmitterSet emitters(std::cout, args, "bcl_run",
                                "BENCH_scenarios.json");
-    const std::size_t jobs =
-        static_cast<std::size_t>(std::max(1LL, args.get_int("jobs", 1)));
     runner.run_all(specs, emitters.pointers, jobs);
     emitters.report(std::cout);
   } catch (const std::exception& error) {

@@ -1,64 +1,54 @@
 // bench_decentralized_scale: sub-round cost of the agreement protocol at
-// scale (ISSUE 9 tentpole artifact).
+// scale.
 //
-// Runs fixed-round approximate agreement with a Krum-family round function
-// at m = 100..2000 nodes under the sync engine and measures the wall cost
-// per sub-round for three configurations of the same protocol:
+// Runs fixed-round approximate agreement with a Krum-family rule at
+// m = 100..2000 nodes under the sync engine and measures the wall cost
+// per sub-round for two configurations of the same protocol:
 //
-//   subround_shared   the default path: zero-copy inbox views over the
+//   subround_shared   the production path: zero-copy inbox views over the
 //                     round arena + cross-node memoization (one Gram/step
 //                     build per distinct sub-round inbox).
 //                     speedup_vs_naive compares against subround_copy at
 //                     the same m, measured in the same process — only
 //                     while that reference is still reasonable to run
 //                     (--compare-max, default 2000), 0 elsewhere.
-//   subround_private  ablation: views on, sharing off — every node pays
-//                     its own O(m^2 d) build over the borrowed inbox.
-//   subround_copy     the pre-PR path: owned per-node inbox copies
-//                     (payload_batch) and per-node builds.
+//   subround_copy     the naive reference: the rule wrapped in
+//                     tests/agreement_oracle.hpp's PrivateCopyRule, so
+//                     every node copies its inbox and pays its own
+//                     O(m^2 d) build.
 //   peak_rss_kb       ns_op carries getrusage(RUSAGE_SELF).ru_maxrss in
 //                     KiB.  ru_maxrss is a process-lifetime high-water
 //                     mark, so the shared cells run first in ascending m —
 //                     the O(n d) memory evidence — and the per-node
-//                     ablations run only after every RSS sample is taken.
+//                     references run only after every RSS sample is taken.
 //
-// All three configurations produce bitwise-identical agreement traces
+// Both configurations produce bitwise-identical agreement traces
 // (tests/subround_sharing_test.cpp enforces it); the bench prints the
 // sharing counters so a collapsed build count (one per sub-round under
 // sync, no faults) is visible alongside the timing.
 //
 // The committed baseline lives at bench/baseline/decentralized_scale.json;
-// CI runs a reduced sweep (--ms with smaller values) whose records
-// deliberately do not pair with the baseline keys.
+// CI re-measures its m = 100 and 500 cells to gate the speedup ratio.
 //
 //   ./bench_decentralized_scale                      # m = 100,500,2000
-//   ./bench_decentralized_scale --ms 50,200 --subrounds 2   # CI smoke
+//   ./bench_decentralized_scale --ms 50,200 --subrounds 2   # smoke
 //   ./bench_decentralized_scale --rule MULTIKRUM-8 --threads 8
 
 #include <sys/resource.h>
 
 #include <chrono>
 #include <cstdio>
-#include <sstream>
+#include <exception>
 #include <string>
 #include <vector>
 
+#include "../tests/agreement_oracle.hpp"
 #include "bench_json.hpp"
 #include "core/bcl.hpp"
 
 namespace {
 
 using namespace bcl;
-
-std::vector<std::size_t> parse_sizes(const std::string& csv) {
-  std::vector<std::size_t> out;
-  std::stringstream stream(csv);
-  std::string token;
-  while (!csv.empty() && std::getline(stream, token, ',')) {
-    if (!token.empty()) out.push_back(std::stoull(token));
-  }
-  return out;
-}
 
 double peak_rss_kb() {
   rusage usage{};
@@ -76,10 +66,11 @@ struct Cell {
 };
 
 /// One timed agreement run: m nodes, ~1% sign-flip Byzantine, fixed
-/// sub-round count.  `views`/`share` select the configuration under test.
+/// sub-round count.  `rule` is the production rule or its PrivateCopyRule
+/// reference.
 Cell run_cell(std::size_t m, std::size_t dim, std::size_t subrounds,
-              const std::string& rule, std::uint64_t seed, ThreadPool* pool,
-              bool views, bool share) {
+              const AggregationRulePtr& rule, std::uint64_t seed,
+              ThreadPool* pool) {
   Rng rng(seed);
   VectorList inputs;
   inputs.reserve(m);
@@ -96,11 +87,9 @@ Cell run_cell(std::size_t m, std::size_t dim, std::size_t subrounds,
   AgreementConfig cfg;
   cfg.n = m;
   cfg.t = f;
-  cfg.round_function = make_round_function(rule);
+  cfg.rule = rule;
   cfg.epsilon = 0.0;
   cfg.pool = pool;
-  cfg.inbox_views = views;
-  cfg.share_subrounds = share;
 
   const auto t0 = std::chrono::steady_clock::now();
   const AgreementResult result =
@@ -114,50 +103,45 @@ Cell run_cell(std::size_t m, std::size_t dim, std::size_t subrounds,
   return cell;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const CliArgs args(argc, argv,
                      {"ms", "dim", "subrounds", "rule", "compare-max",
                       "compare-subrounds", "seed", "json", "threads"});
-  const std::vector<std::size_t> ms =
-      parse_sizes(args.get_string("ms", "100,500,2000"));
-  const std::size_t dim = static_cast<std::size_t>(args.get_int("dim", 64));
-  const std::size_t subrounds =
-      static_cast<std::size_t>(args.get_int("subrounds", 3));
-  const std::string rule = args.get_string("rule", "KRUM");
-  const std::size_t compare_max =
-      static_cast<std::size_t>(args.get_int("compare-max", 2000));
-  // The per-node ablations cost O(m^3 d) per sub-round across the system —
-  // minutes at m=2000 — so they run fewer sub-rounds than the shared
-  // cells; per-sub-round nanoseconds stay comparable.
-  const std::size_t compare_subrounds =
-      static_cast<std::size_t>(args.get_int("compare-subrounds", 1));
+  const std::vector<std::size_t> ms = args.get_counts("ms", "100,500,2000");
+  const std::size_t dim = args.get_count("dim", 64);
+  const std::size_t subrounds = args.get_count("subrounds", 3);
+  const std::string rule_name = args.get_string("rule", "KRUM");
+  const std::size_t compare_max = args.get_count("compare-max", 2000);
+  // The per-node reference costs O(m^3 d) per sub-round across the
+  // system — minutes at m=2000 — so it runs fewer sub-rounds than the
+  // shared cells; per-sub-round nanoseconds stay comparable.
+  const std::size_t compare_subrounds = args.get_count("compare-subrounds", 1);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.get_int("seed", 29));
   const std::string json_path =
       args.get_string("json", "BENCH_decentralized_scale.json");
 
-  ThreadPool pool(static_cast<std::size_t>(args.get_int("threads", 0)));
+  ThreadPool pool(args.get_count("threads", 0));
+  const AggregationRulePtr rule = make_rule(rule_name);
+  const AggregationRulePtr copy_rule = test::private_copy(rule);
 
   // Warm the allocator, the pool and the instruction cache outside the
   // timed cells.
-  (void)run_cell(16, dim, 1, rule, seed, &pool, true, true);
+  (void)run_cell(16, dim, 1, rule, seed, &pool);
 
   std::vector<benchjson::Record> records;
   std::printf("=== bench_decentralized_scale: rule=%s d=%zu subrounds=%zu "
               "===\n\n",
-              rule.c_str(), dim, subrounds);
+              rule_name.c_str(), dim, subrounds);
 
-  // Pass 1: the default (shared, view) cells, ascending m, RSS sampled
+  // Pass 1: the production (shared, view) cells, ascending m, RSS sampled
   // after each — the memory profile must not be polluted by the per-node
-  // ablations below.
+  // references below.
   std::vector<double> shared_seconds(ms.size(), 0.0);
   std::vector<std::size_t> shared_record_at(ms.size(), 0);
   for (std::size_t cell = 0; cell < ms.size(); ++cell) {
     const std::size_t m = ms[cell];
-    const Cell shared =
-        run_cell(m, dim, subrounds, rule, seed, &pool, true, true);
+    const Cell shared = run_cell(m, dim, subrounds, rule, seed, &pool);
     shared_seconds[cell] = shared.seconds;
     const double ns = shared.seconds * 1e9 / static_cast<double>(subrounds);
     shared_record_at[cell] = records.size();
@@ -170,28 +154,20 @@ int main(int argc, char** argv) {
                 rss);
   }
 
-  // Pass 2: per-node ablations at the same m — sharing off (views still
-  // on), then the pre-PR owned-copy path — while small enough to be a
-  // fair single-process reference.
+  // Pass 2: the per-node copy reference at the same m, while small enough
+  // to be a fair single-process reference.
   for (std::size_t cell = 0; cell < ms.size(); ++cell) {
     const std::size_t m = ms[cell];
     if (m > compare_max || shared_seconds[cell] <= 0.0) continue;
-    const Cell priv =
-        run_cell(m, dim, compare_subrounds, rule, seed, &pool, true, false);
     const Cell copy =
-        run_cell(m, dim, compare_subrounds, rule, seed, &pool, false, false);
-    const double priv_ns =
-        priv.seconds * 1e9 / static_cast<double>(compare_subrounds);
+        run_cell(m, dim, compare_subrounds, copy_rule, seed, &pool);
     const double copy_ns =
         copy.seconds * 1e9 / static_cast<double>(compare_subrounds);
     const double shared_ns =
         shared_seconds[cell] * 1e9 / static_cast<double>(subrounds);
     const double speedup = copy_ns / shared_ns;
     records[shared_record_at[cell]].speedup_vs_naive = speedup;
-    records.push_back({"subround_private", m, dim, priv_ns, 0.0});
     records.push_back({"subround_copy", m, dim, copy_ns, 0.0});
-    std::printf("  m=%-6zu subround_private %14.0f ns/subround\n", m,
-                priv_ns);
     std::printf("  m=%-6zu subround_copy    %14.0f ns/subround  "
                 "(shared %.1fx faster)\n",
                 m, copy_ns, speedup);
@@ -205,4 +181,17 @@ int main(int argc, char** argv) {
   std::printf("\nwrote %s (%zu records)\n", json_path.c_str(),
               records.size());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Flag parsing runs inside the try too, so a bad command line prints one
+  // "bench_decentralized_scale: ..." line and exits 1.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "bench_decentralized_scale: %s\n", error.what());
+    return 1;
+  }
 }

@@ -1,4 +1,4 @@
-// bench_scale: the client-scale sweep (ISSUE 8 tentpole artifact).
+// bench_scale: the client-scale sweep.
 //
 // Runs the streaming cohort trainer at m = 10^3..10^5 clients with a fixed
 // cohort size, so the per-round cost and the resident set stay O(cohort*d)
@@ -40,7 +40,7 @@
 
 #include <chrono>
 #include <cstdio>
-#include <sstream>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -52,16 +52,6 @@ namespace {
 
 using namespace bcl;
 using experiments::ScenarioSpec;
-
-std::vector<std::size_t> parse_sizes(const std::string& csv) {
-  std::vector<std::size_t> out;
-  std::stringstream stream(csv);
-  std::string token;
-  while (std::getline(stream, token, ',')) {
-    if (!token.empty()) out.push_back(std::stoull(token));
-  }
-  return out;
-}
 
 double peak_rss_kb() {
   rusage usage{};
@@ -95,31 +85,24 @@ ScenarioSpec make_spec(std::size_t m, std::size_t cohort_target,
   return spec;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const CliArgs args(argc, argv,
                      {"ms", "rounds", "cohort-size", "shards", "rule",
                       "compare-max", "sketch-m", "sketch-rule", "json",
                       "threads"});
   const std::vector<std::size_t> ms =
-      parse_sizes(args.get_string("ms", "1000,10000,100000"));
-  const std::size_t rounds =
-      static_cast<std::size_t>(args.get_int("rounds", 3));
-  const std::size_t cohort_target =
-      static_cast<std::size_t>(args.get_int("cohort-size", 256));
-  const std::size_t shards =
-      static_cast<std::size_t>(args.get_int("shards", 8));
+      args.get_counts("ms", "1000,10000,100000");
+  const std::size_t rounds = args.get_count("rounds", 3);
+  const std::size_t cohort_target = args.get_count("cohort-size", 256);
+  const std::size_t shards = args.get_count("shards", 8);
   const std::string rule = args.get_string("rule", "CW-MEDIAN");
-  const std::size_t compare_max =
-      static_cast<std::size_t>(args.get_int("compare-max", 2000));
-  const std::size_t sketch_m =
-      static_cast<std::size_t>(args.get_int("sketch-m", 10000));
+  const std::size_t compare_max = args.get_count("compare-max", 2000);
+  const std::size_t sketch_m = args.get_count("sketch-m", 10000);
   const std::string sketch_rule = args.get_string("sketch-rule", "MULTIKRUM");
   const std::string json_path =
       args.get_string("json", "BENCH_scale.json");
 
-  ThreadPool pool(static_cast<std::size_t>(args.get_int("threads", 0)));
+  ThreadPool pool(args.get_count("threads", 0));
   experiments::ScenarioRunner runner(&pool);
 
   // Warm the shared dataset cache (and the allocator) outside the timed
@@ -262,4 +245,17 @@ int main(int argc, char** argv) {
   std::printf("\nwrote %s (%zu records)\n", json_path.c_str(),
               records.size());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Flag parsing runs inside the try too, so a bad command line prints one
+  // "bench_scale: ..." line and exits 1.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "bench_scale: %s\n", error.what());
+    return 1;
+  }
 }

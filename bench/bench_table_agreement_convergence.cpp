@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
       AgreementConfig cfg;
       cfg.n = n;
       cfg.t = t;
-      cfg.round_function = make_round_function(rule);
+      cfg.rule = make_rule(rule);
       cfg.epsilon = 0.0;
       const auto result =
           run_fixed_rounds_agreement(GradientBatch::from(inputs), *adversary,
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
     AgreementConfig cfg;
     cfg.n = n;
     cfg.t = t;
-    cfg.round_function = make_round_function("BOX-GEOM");
+    cfg.rule = make_rule("BOX-GEOM");
     cfg.epsilon = eps;
     cfg.max_rounds = 200;
     const auto result = run_approximate_agreement(GradientBatch::from(inputs),
@@ -111,11 +111,11 @@ int main(int argc, char** argv) {
     cfg.n = n;
     cfg.t = t;
     cfg.epsilon = 0.0;
-    cfg.round_function = make_round_function("MD-GEOM-STICKY");
+    cfg.rule = std::make_shared<StickyMinDiameterGeoRule>();
     const auto md =
         run_fixed_rounds_agreement(GradientBatch::from(split_inputs), adv_md,
                                    rounds, cfg);
-    cfg.round_function = make_round_function("BOX-GEOM");
+    cfg.rule = make_rule("BOX-GEOM");
     const auto box =
         run_fixed_rounds_agreement(GradientBatch::from(split_inputs), adv_box,
                                    rounds, cfg);

@@ -7,6 +7,7 @@
 //                             [--rounds 10] [--seed 1]
 
 #include <iostream>
+#include <memory>
 
 #include "core/bcl.hpp"
 
@@ -36,11 +37,17 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> byz_ids;
   for (std::size_t i = n - t; i < n; ++i) byz_ids.push_back(i);
 
-  auto run = [&](const std::string& fn_name, Adversary& adversary) {
+  // MD-GEOM-STICKY breaks minimum-diameter ties toward the node's own
+  // vector; it is built directly because only agreement can run it.
+  const AggregationRulePtr box_geom = make_rule("BOX-GEOM");
+  const AggregationRulePtr md_geom_sticky =
+      std::make_shared<StickyMinDiameterGeoRule>();
+
+  auto run = [&](const AggregationRulePtr& rule, Adversary& adversary) {
     AgreementConfig cfg;
     cfg.n = n;
     cfg.t = t;
-    cfg.round_function = make_round_function(fn_name);
+    cfg.rule = rule;
     cfg.epsilon = 0.0;  // run all rounds; we want the full trace
     return run_fixed_rounds_agreement(GradientBatch::from(inputs), adversary,
                                       rounds, cfg);
@@ -50,8 +57,8 @@ int main(int argc, char** argv) {
   {
     SignFlipAdversary adv_a(byz_ids);
     SignFlipAdversary adv_b(byz_ids);
-    const auto box = run("BOX-GEOM", adv_a);
-    const auto md = run("MD-GEOM-STICKY", adv_b);
+    const auto box = run(box_geom, adv_a);
+    const auto md = run(md_geom_sticky, adv_b);
     Table table({"round", "BOX-GEOM diameter", "MD-GEOM diameter"});
     for (std::size_t r = 0; r < box.trace.honest_diameter.size(); ++r) {
       table.new_row()
@@ -73,10 +80,10 @@ int main(int argc, char** argv) {
     cfg.n = 10;
     cfg.t = 2;
     cfg.epsilon = 0.0;
-    cfg.round_function = make_round_function("BOX-GEOM");
+    cfg.rule = box_geom;
     const GradientBatch split = GradientBatch::from(split_inputs);
     const auto box = run_fixed_rounds_agreement(split, adv_a, rounds, cfg);
-    cfg.round_function = make_round_function("MD-GEOM-STICKY");
+    cfg.rule = md_geom_sticky;
     const auto md = run_fixed_rounds_agreement(split, adv_b, rounds, cfg);
     Table table({"round", "BOX-GEOM diameter", "MD-GEOM diameter (stuck)"});
     for (std::size_t r = 0; r < box.trace.honest_diameter.size(); ++r) {

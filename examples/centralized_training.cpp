@@ -5,11 +5,14 @@
 //   ./examples/centralized_training --rule BOX-GEOM --attack sign-flip \
 //       --byzantine 1 --heterogeneity mild --rounds 30
 
+#include <exception>
 #include <iostream>
 
 #include "core/bcl.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace bcl;
   const CliArgs args(argc, argv,
                      {"rule", "attack", "byzantine", "heterogeneity",
@@ -17,8 +20,8 @@ int main(int argc, char** argv) {
 
   const std::string rule = args.get_string("rule", "BOX-GEOM");
   const std::string attack = args.get_string("attack", "sign-flip");
-  const std::size_t image =
-      static_cast<std::size_t>(args.get_int("image", 14));
+  const std::size_t image = args.get_count("image", 14);
+  ThreadPool pool(args.get_count("threads", 0));
 
   ml::SyntheticSpec spec = ml::SyntheticSpec::mnist_like(
       static_cast<std::uint64_t>(args.get_int("seed", 42)));
@@ -31,10 +34,9 @@ int main(int argc, char** argv) {
 
   TrainingConfig cfg;
   cfg.num_clients = 10;
-  cfg.num_byzantine =
-      static_cast<std::size_t>(args.get_int("byzantine", 1));
-  cfg.rounds = static_cast<std::size_t>(args.get_int("rounds", 30));
-  cfg.batch_size = static_cast<std::size_t>(args.get_int("batch", 32));
+  cfg.num_byzantine = args.get_count("byzantine", 1);
+  cfg.rounds = args.get_count("rounds", 30);
+  cfg.batch_size = args.get_count("batch", 32);
   cfg.rule = make_rule(rule);
   cfg.attack = make_attack(attack);
   cfg.schedule = ml::LearningRateSchedule::paper_default(cfg.rounds);
@@ -44,8 +46,6 @@ int main(int argc, char** argv) {
   cfg.heterogeneity =
       ml::parse_heterogeneity(args.get_string("heterogeneity", "mild"));
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-
-  ThreadPool pool(static_cast<std::size_t>(args.get_int("threads", 0)));
   cfg.pool = &pool;
 
   std::cout << "Centralized collaborative learning: rule=" << rule
@@ -73,4 +73,17 @@ int main(int argc, char** argv) {
   std::cout << "\nBest accuracy: " << format_double(result.best_accuracy(), 4)
             << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Flag parsing runs inside the try too, so a bad command line prints one
+  // "centralized_training: ..." line and exits 1.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "centralized_training: " << error.what() << "\n";
+    return 1;
+  }
 }

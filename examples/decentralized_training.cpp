@@ -1,15 +1,18 @@
 // Decentralized collaborative learning (the Figure 3 pipeline): no server,
 // gradients agreed on via the approximate-agreement subroutine with
-// ceil(log2 t) sub-rounds per learning iteration.
+// ceil(log2(T + 2)) sub-rounds in learning iteration T.
 //
 //   ./examples/decentralized_training --rule BOX-GEOM --attack sign-flip \
 //       --byzantine 1 --rounds 20
 
+#include <exception>
 #include <iostream>
 
 #include "core/bcl.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace bcl;
   const CliArgs args(argc, argv,
                      {"rule", "attack", "byzantine", "heterogeneity",
@@ -17,8 +20,8 @@ int main(int argc, char** argv) {
 
   const std::string rule = args.get_string("rule", "BOX-GEOM");
   const std::string attack = args.get_string("attack", "sign-flip");
-  const std::size_t image =
-      static_cast<std::size_t>(args.get_int("image", 10));
+  const std::size_t image = args.get_count("image", 10);
+  ThreadPool pool(args.get_count("threads", 0));
 
   ml::SyntheticSpec spec = ml::SyntheticSpec::mnist_like(
       static_cast<std::uint64_t>(args.get_int("seed", 42)));
@@ -31,18 +34,15 @@ int main(int argc, char** argv) {
 
   TrainingConfig cfg;
   cfg.num_clients = 10;
-  cfg.num_byzantine =
-      static_cast<std::size_t>(args.get_int("byzantine", 1));
-  cfg.rounds = static_cast<std::size_t>(args.get_int("rounds", 20));
-  cfg.batch_size = static_cast<std::size_t>(args.get_int("batch", 16));
+  cfg.num_byzantine = args.get_count("byzantine", 1);
+  cfg.rounds = args.get_count("rounds", 20);
+  cfg.batch_size = args.get_count("batch", 16);
   cfg.rule = make_rule(rule);
   cfg.attack = make_attack(attack);
   cfg.schedule = ml::LearningRateSchedule(0.05, 0.05 / cfg.rounds);
   cfg.heterogeneity =
       ml::parse_heterogeneity(args.get_string("heterogeneity", "mild"));
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-
-  ThreadPool pool(static_cast<std::size_t>(args.get_int("threads", 0)));
   cfg.pool = &pool;
 
   std::cout << "Decentralized collaborative learning: rule=" << rule
@@ -68,4 +68,17 @@ int main(int argc, char** argv) {
             << "The 'disagreement' column is the post-agreement diameter of\n"
                "the honest gradient vectors in that learning round.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Flag parsing runs inside the try too, so a bad command line prints one
+  // "decentralized_training: ..." line and exits 1.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "decentralized_training: " << error.what() << "\n";
+    return 1;
+  }
 }

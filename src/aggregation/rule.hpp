@@ -47,12 +47,16 @@ struct AggregationContext {
   /// control flow (sketched screens) publish counters here (for example
   /// "sketch.certified" / "sketch.fallbacks").  nullptr publishes nothing.
   obs::MetricsRegistry* metrics = nullptr;
+  /// The calling node's own vector at the start of the round.  Each
+  /// agreement node points this at its current vector; it is null
+  /// everywhere else.  Only rules whose reads_current() is true read it.
+  const Vector* current = nullptr;
 
   /// Number of vectors every rule trusts to exist: n - t.
   std::size_t keep() const { return n - t; }
 };
 
-/// The input check shared by every rule and round function.  Throws
+/// The input check shared by every rule.  Throws
 /// std::invalid_argument unless `workspace` was built over `batch` and the
 /// inbox fits the context: n > 0, t < n, n - t <= rows <= n, a positive
 /// dimension, and only finite values (a Byzantine NaN/Inf would silently
@@ -81,6 +85,12 @@ class AggregationRule {
   /// dimension), builds a workspace with ctx.pool attached and aggregates.
   Vector aggregate(const VectorList& received,
                    const AggregationContext& ctx) const;
+
+  /// True when the output depends on ctx.current as well as the inbox.
+  /// The agreement protocol shares the whole output across nodes whose
+  /// sub-round inboxes coincide only when this is false; otherwise the
+  /// nodes share the distance build and each runs its own call.
+  virtual bool reads_current() const { return false; }
 
  protected:
   /// The rule itself, called only on a validated inbox with a workspace

@@ -21,8 +21,7 @@ namespace bcl {
 
 namespace {
 
-/// Cross-node memoization of one sub-round's expensive work
-/// (AgreementConfig::share_subrounds).
+/// Cross-node memoization of one sub-round's expensive work.
 ///
 /// Key: the inbox's exact row identity — the (sender, payload pointer,
 /// payload size) triple of every message, in the sender-sorted delivery
@@ -35,11 +34,11 @@ namespace {
 /// straggler) changes the key — the per-node fallback is automatic, not a
 /// heuristic.
 ///
-/// Entries hold either the full step output (current-independent round
-/// functions: the step is a pure function of the inbox, so n Krum-family
-/// evaluations collapse to one) or just the shared DistanceMatrix
-/// (current-dependent functions like the sticky MD-GEOM tie-break, which
-/// still pay per-node selection but share the O(m^2 d) build).  The first
+/// Entries hold either the full rule output (a rule whose reads_current()
+/// is false is a pure function of the inbox, so n Krum-family evaluations
+/// collapse to one) or just the shared DistanceMatrix (rules that read the
+/// node's own vector, like the sticky MD-GEOM tie-break, still pay
+/// per-node selection but share the O(m^2 d) build).  The first
 /// node to arrive computes under std::call_once; the rest block briefly
 /// and reuse.  advance_ready_nodes() finalizes nodes in parallel on the
 /// engine's pool, so every path here is mutex/once-guarded (TSan-clean).
@@ -51,8 +50,8 @@ class SubroundShareCache {
  public:
   struct Entry {
     std::once_flag once;
-    Vector output;             ///< current-independent: the shared step result
-    DistanceMatrix distances;  ///< current-dependent: the shared build
+    Vector output;             ///< !reads_current(): the shared rule output
+    DistanceMatrix distances;  ///< reads_current(): the shared build
   };
 
   /// Returns the (created-if-absent) entry for this inbox.  `key` is
@@ -95,23 +94,23 @@ class SubroundShareCache {
 };
 
 /// Honest participant: holds its current vector, broadcasts it (through
-/// the codec when one is configured), applies the round function to each
-/// inbox.
+/// the codec when one is configured), applies the rule to each inbox.
 class AgreementNode final : public HonestProcess {
  public:
-  AgreementNode(std::size_t id, Vector input, RoundFunctionPtr round_function,
+  AgreementNode(std::size_t id, Vector input, AggregationRulePtr rule,
                 AggregationContext ctx, const Codec* codec,
                 std::uint64_t codec_seed, std::size_t input_wire,
-                bool inbox_views, SubroundShareCache* cache)
+                SubroundShareCache& cache)
       : id_(id),
         current_(std::move(input)),
-        round_function_(std::move(round_function)),
+        rule_(std::move(rule)),
         ctx_(ctx),
         codec_(codec != nullptr && !codec->identity() ? codec : nullptr),
         codec_seed_(codec_seed),
         input_wire_(input_wire),
-        views_(inbox_views),
-        cache_(cache) {}
+        cache_(cache) {
+    ctx_.current = &current_;
+  }
 
   Vector outgoing(std::size_t round) const override {
     // Sub-round 0 ships the input as the trainer encoded it (see
@@ -139,41 +138,32 @@ class AgreementNode final : public HonestProcess {
 
   void receive(std::size_t /*round*/, std::vector<Message>&& inbox) override {
     // Under partial synchrony a timeout (or a dropped neighborhood) can
-    // resolve a round below the n - t quorum.  The t-resilient round
-    // functions are only sound on >= n - t inputs, so the node skips its
-    // update and keeps its current vector for this sub-round.
+    // resolve a round below the n - t quorum.  The t-resilient rules are
+    // only sound on >= n - t inputs, so the node skips its update and
+    // keeps its current vector for this sub-round.
     if (inbox.size() < ctx_.n - ctx_.t) return;
     // One batch + workspace per inbox: every distance consumer inside the
-    // round function (Krum scores, medoid, minimum-diameter search, tie
-    // enumeration) shares a single Gram-trick pairwise matrix for this
-    // sub-round.  The view flavour borrows the engine's payload spans
-    // through the node's pooled row table — zero copies, zero allocations
-    // per receive() after the first — and is finished with before this
-    // call returns, per the Message ownership rule.  Both flavours feed
-    // identical bytes to identical kernels, so results are bitwise equal.
+    // rule (Krum scores, medoid, minimum-diameter search, tie enumeration)
+    // shares a single Gram-trick pairwise matrix for this sub-round.  The
+    // batch borrows the engine's payload spans through the node's pooled
+    // row table — zero copies, zero allocations per receive() after the
+    // first — and is finished with before this call returns, per the
+    // Message ownership rule.
     const GradientBatch received = [&] {
       BCL_TRACE_SPAN("agreement.inbox_build");
-      return views_ ? payload_batch_view(inbox, table_)
-                    : payload_batch(inbox);
+      return payload_batch_view(inbox, table_);
     }();
-    if (cache_ == nullptr) {
-      BCL_TRACE_SPAN("agreement.step");
-      AggregationWorkspace workspace(received, ctx_.pool);
-      current_ = round_function_->step(received, workspace, current_, ctx_);
-      return;
-    }
     const std::shared_ptr<SubroundShareCache::Entry> entry =
-        cache_->lookup(inbox, sig_);
-    if (round_function_->current_independent()) {
-      // The step ignores current_, so the whole output is shareable: the
+        cache_.lookup(inbox, sig_);
+    if (!rule_->reads_current()) {
+      // The rule ignores current_, so the whole output is shareable: the
       // first node with this inbox computes it, everyone else copies.
       bool built = false;
       std::call_once(entry->once, [&] {
         BCL_TRACE_SPAN("agreement.gram_build");
         AggregationWorkspace workspace(received, ctx_.pool);
-        entry->output =
-            round_function_->step(received, workspace, current_, ctx_);
-        cache_->count_build();
+        entry->output = rule_->aggregate(received, workspace, ctx_);
+        cache_.count_build();
         built = true;
       });
       if (built) {
@@ -183,16 +173,16 @@ class AgreementNode final : public HonestProcess {
         current_ = entry->output;
       }
     } else {
-      // Current-dependent round function: selection differs per node, but
-      // the O(m^2 d) distance build over an identical inbox does not.
+      // The rule reads current_: its output differs per node, but the
+      // O(m^2 d) distance build over an identical inbox does not.
       std::call_once(entry->once, [&] {
         BCL_TRACE_SPAN("agreement.gram_build");
         entry->distances = DistanceMatrix(received, ctx_.pool);
-        cache_->count_build();
+        cache_.count_build();
       });
       BCL_TRACE_SPAN("agreement.step");
       AggregationWorkspace workspace(received, &entry->distances, ctx_.pool);
-      current_ = round_function_->step(received, workspace, current_, ctx_);
+      current_ = rule_->aggregate(received, workspace, ctx_);
     }
   }
 
@@ -201,13 +191,12 @@ class AgreementNode final : public HonestProcess {
  private:
   std::size_t id_;
   Vector current_;
-  RoundFunctionPtr round_function_;
-  AggregationContext ctx_;
+  AggregationRulePtr rule_;
+  AggregationContext ctx_;  ///< ctx_.current points at current_
   const Codec* codec_;
   std::uint64_t codec_seed_;
   std::size_t input_wire_;
-  bool views_;
-  SubroundShareCache* cache_;
+  SubroundShareCache& cache_;
   // Pooled scratch recycled across sub-rounds: the view batch's row table
   // and the share cache's key buffer never re-allocate after round 0.
   std::vector<const double*> table_;
@@ -226,8 +215,9 @@ AgreementResult run_impl(const GradientBatch& inputs, Adversary& adversary,
     throw std::invalid_argument(
         "run_approximate_agreement: inputs.rows() must equal config.n");
   }
-  if (!config.round_function) {
-    throw std::invalid_argument("run_approximate_agreement: no round function");
+  if (!config.rule) {
+    throw std::invalid_argument(
+        "run_approximate_agreement: AgreementConfig::rule is null");
   }
   const std::size_t f = adversary.count_byzantine(config.n);
   if (f > config.t) {
@@ -242,8 +232,6 @@ AgreementResult run_impl(const GradientBatch& inputs, Adversary& adversary,
   ctx.metrics = config.metrics;
 
   SubroundShareCache cache;
-  SubroundShareCache* const cache_ptr =
-      config.share_subrounds ? &cache : nullptr;
 
   std::vector<std::unique_ptr<AgreementNode>> nodes(config.n);
   std::vector<HonestProcess*> processes(config.n, nullptr);
@@ -252,13 +240,9 @@ AgreementResult run_impl(const GradientBatch& inputs, Adversary& adversary,
       const std::size_t input_wire = i < config.input_wire_bytes.size()
                                          ? config.input_wire_bytes[i]
                                          : HonestProcess::kDenseWire;
-      nodes[i] = std::make_unique<AgreementNode>(i, inputs.row_copy(i),
-                                                 config.round_function, ctx,
-                                                 config.codec,
-                                                 config.codec_seed,
-                                                 input_wire,
-                                                 config.inbox_views,
-                                                 cache_ptr);
+      nodes[i] = std::make_unique<AgreementNode>(
+          i, inputs.row_copy(i), config.rule, ctx, config.codec,
+          config.codec_seed, input_wire, cache);
       processes[i] = nodes[i].get();
     }
   }

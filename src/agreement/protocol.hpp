@@ -2,18 +2,30 @@
 // Multidimensional approximate agreement protocols (Section 2.3).
 //
 // Every honest node starts with an input vector; in each synchronous round
-// it reliably broadcasts its vector, collects the inbox and applies a round
-// function.  The protocol targets epsilon-agreement: any two honest outputs
-// within Euclidean distance epsilon.  For the hyperbox round function this
-// is Algorithm 2 and Theorem 4.4 guarantees E_max halves every round; for
-// MD-GEOM it is Algorithm 1, which Lemma 4.2 shows need not converge.
+// it reliably broadcasts its vector, collects the inbox and applies the
+// aggregation rule to it.  The protocol targets epsilon-agreement: any two
+// honest outputs within Euclidean distance epsilon.  With the hyperbox rule
+// BOX-GEOM this is Algorithm 2, and Theorem 4.4 guarantees E_max halves
+// every round; with MD-GEOM it is Algorithm 1, which Lemma 4.2 shows need
+// not converge.
+//
+// Nodes whose sub-round inboxes are exactly equal (same senders delivering
+// the same stored payload spans: the engine commits each sender's round
+// value once, so pointer identity is an exact content signature) share one
+// build.  When the rule's reads_current() is false the whole output is
+// shared; otherwise only the distance matrix is, and each node runs its
+// own call with AggregationContext::current pointing at its vector.  Under
+// net=sync with no faults every honest node sees the same inbox, so n
+// O(n^2 d) builds collapse to one; divergent inboxes (drops, timeouts,
+// omissions) miss the signature and build per node.  Sharing is bitwise
+// identical to a private call per node (tests/agreement_oracle.hpp).
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "agreement/round_function.hpp"
+#include "aggregation/rule.hpp"
 #include "compression/codec.hpp"
 #include "linalg/gradient_batch.hpp"
 #include "network/adversary.hpp"
@@ -27,13 +39,15 @@ class ThreadPool;
 struct AgreementConfig {
   std::size_t n = 0;  ///< nodes in the system (honest + Byzantine)
   std::size_t t = 0;  ///< designed fault tolerance (t < n/3 for hyperbox)
-  /// Round function applied by every honest node.
-  RoundFunctionPtr round_function;
+  /// Aggregation rule every honest node applies to its inbox in every
+  /// round.  Required: the run throws std::invalid_argument without one.
+  AggregationRulePtr rule;
   /// Stop once the honest vectors have pairwise distance < epsilon
   /// (checked omnisciently by the harness, as usual in the agreement
   /// literature when the round count is not fixed a priori).
   double epsilon = 1e-6;
-  /// Hard round cap (also the fixed round count when run_fixed_rounds).
+  /// Round cap of run_approximate_agreement (run_fixed_rounds_agreement
+  /// takes its own round count and ignores this and epsilon).
   std::size_t max_rounds = 64;
   /// Optional pool for parallel node execution.
   ThreadPool* pool = nullptr;
@@ -68,22 +82,6 @@ struct AgreementConfig {
   /// internally consistent.  nullptr = everyone up.
   const FaultPlan* faults = nullptr;
   std::size_t fault_round = 0;
-  /// Zero-copy inboxes: nodes aggregate directly over borrowed views of
-  /// the engine's round-book payload spans instead of materializing an
-  /// owned n x d copy per node per sub-round (memory O(n^2 d) -> O(n d)).
-  /// Same bytes reach the same kernels either way, so results are bitwise
-  /// identical; the knob exists for A/B benching and bisection.
-  bool inbox_views = true;
-  /// Cross-node sub-round sharing: nodes whose inboxes are exactly equal
-  /// (same senders delivering the same stored payload spans — the engine
-  /// commits each sender's round value exactly once, so pointer identity
-  /// is an exact content signature) share one distance build, and for
-  /// current-independent round functions the entire step output.  Under
-  /// net=sync with no faults every honest node sees the same inbox, so n
-  /// O(n^2 d) builds collapse to one; divergent inboxes (drops, timeouts,
-  /// omissions) mismatch the signature and fall back per node.  Bitwise
-  /// identical to the unshared path by construction.
-  bool share_subrounds = true;
   /// Optional per-scenario metrics registry: forwarded to the event
   /// engine (per-message delay histogram) and the aggregation context
   /// (sketch certification counters).  Not owned; nullptr records
@@ -109,7 +107,7 @@ struct AgreementTrace {
   std::vector<double> round_latency;
 };
 
-/// Cross-node sub-round sharing counters (AgreementConfig::share_subrounds).
+/// Cross-node sub-round sharing counters (see the header comment).
 struct SharingStats {
   /// Distance/step builds actually executed across all sub-rounds.
   std::size_t gram_builds = 0;
@@ -129,7 +127,7 @@ struct AgreementResult {
   NetworkStats network;
   /// Total simulated time of the run (0 under the sync model).
   double simulated_seconds = 0.0;
-  /// Cross-node sharing effectiveness (zeros when share_subrounds is off).
+  /// Cross-node sharing effectiveness.
   SharingStats sharing;
 };
 
@@ -138,14 +136,15 @@ struct AgreementResult {
 /// at start, and rows at Byzantine ids (per the adversary) are never read.
 /// The decentralized trainer passes its round gradient block as is;
 /// callers holding a VectorList wrap it with GradientBatch::from.  Throws
-/// if inputs.rows() != n or the adversary controls more than t ids.
+/// if inputs.rows() != n, config.rule is null or the adversary controls
+/// more than t ids.
 AgreementResult run_approximate_agreement(const GradientBatch& inputs,
                                           Adversary& adversary,
                                           const AgreementConfig& config);
 
-/// Same protocol but always runs exactly `rounds` rounds (the decentralized
-/// learning schedule of the paper uses ceil(log2 t) sub-rounds per learning
-/// iteration instead of an epsilon test).
+/// Same protocol but always runs exactly `rounds` rounds, with no epsilon
+/// test (the decentralized trainer runs ceil(log2(T + 2)) sub-rounds in
+/// learning iteration T, the paper's schedule).
 AgreementResult run_fixed_rounds_agreement(const GradientBatch& inputs,
                                            Adversary& adversary,
                                            std::size_t rounds,

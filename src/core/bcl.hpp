@@ -28,7 +28,6 @@
 #include "aggregation/rule.hpp"
 #include "aggregation/simple_rules.hpp"
 #include "agreement/protocol.hpp"
-#include "agreement/round_function.hpp"
 #include "attacks/attack.hpp"
 #include "attacks/registry.hpp"
 #include "compression/codec.hpp"

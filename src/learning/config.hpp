@@ -123,7 +123,8 @@ struct TrainingConfig {
   std::size_t eval_max_examples = 0;
 
   /// Decentralized model only: fixed agreement sub-round budget per
-  /// learning round.  0 (default) = the paper's ceil(log2(t + 2)) schedule
+  /// learning round.  0 (default) = the paper's schedule of
+  /// ceil(log2(T + 2)) sub-rounds in learning iteration T
   /// (agreement_subrounds); k > 0 runs exactly k sub-rounds every round
   /// (the sub-round ablation scenarios).
   std::size_t fixed_subrounds = 0;

@@ -63,7 +63,7 @@ TrainingResult DecentralizedTrainer::run() {
   AgreementConfig agreement;
   agreement.n = n;
   agreement.t = config_.resolved_t();
-  agreement.round_function = std::make_shared<RuleRound>(config_.rule);
+  agreement.rule = config_.rule;
   agreement.pool = config_.pool;
   agreement.net = config_.net;
   agreement.metrics = config_.metrics;

@@ -8,7 +8,6 @@
 // clients submit attacked gradients and repeat them through the sub-rounds.
 // Reproduces the Figure 3 experiments.
 
-#include "agreement/round_function.hpp"
 #include "learning/client.hpp"
 #include "learning/config.hpp"
 
@@ -16,8 +15,8 @@ namespace bcl {
 
 class DecentralizedTrainer {
  public:
-  /// The aggregation rule of `config` is applied as the agreement round
-  /// function by every honest node in every sub-round.
+  /// Every honest node applies the aggregation rule of `config` to its
+  /// inbox in every agreement sub-round.
   DecentralizedTrainer(TrainingConfig config, ModelFactory factory,
                        const ml::Dataset* train, const ml::Dataset* test);
 

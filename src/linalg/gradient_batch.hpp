@@ -141,9 +141,9 @@ Vector mean_of_rows(const GradientBatch& batch,
 
 /// Borrowed view of the selected rows, in `indices` order: fills `table`
 /// with their row pointers and returns a view over it, copying no row.
-/// The subset input of Weiszfeld behind MD-GEOM, the sticky MD-GEOM round
-/// and the index-set entry point of geometric_median.  `batch`'s rows and
-/// `table` must outlive the view.
+/// The subset input of Weiszfeld behind MD-GEOM, MD-GEOM-STICKY and the
+/// index-set entry point of geometric_median.  `batch`'s rows and `table`
+/// must outlive the view.
 GradientBatch rows_view(const GradientBatch& batch,
                         const std::vector<std::size_t>& indices,
                         std::vector<const double*>& table);

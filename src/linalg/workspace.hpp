@@ -4,8 +4,8 @@
 // An AggregationWorkspace bundles one inbox — a borrowed GradientBatch —
 // with its pairwise DistanceMatrix and the worker pool to build it with.  A
 // node (or the central server, or a bench harness comparing rules)
-// constructs one workspace per inbox and passes it to every rule, geometry
-// search, and round function that consumes the same vectors, so the
+// constructs one workspace per inbox and passes it to every rule and
+// geometry search that consumes the same vectors, so the
 // O(m^2 * d) distance computation happens at most once per inbox no matter
 // how many consumers run off it.
 //

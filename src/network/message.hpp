@@ -10,12 +10,13 @@
 //
 //   A message's payload is guaranteed valid only for the duration of the
 //   receive() call that delivers it.  A process that keeps payload data
-//   beyond receive() must copy it (to_vector(), payloads(), or
-//   payload_batch() all do); the arena behind the view is recycled once
-//   every honest node has sealed the round.
+//   beyond receive() must copy it (to_vector() and payloads() do); the
+//   arena behind the view is recycled once every honest node has sealed
+//   the round.
 //
-// The protocol layer already obeys it: every receiving rule packs its
-// inbox into an owned GradientBatch / VectorList before returning.
+// The agreement protocol obeys it: each node aggregates over a
+// payload_batch_view() of its inbox and is done with it before receive()
+// returns.
 
 #include <cstddef>
 #include <stdexcept>
@@ -95,35 +96,16 @@ inline VectorList payloads(const std::vector<Message>& inbox) {
   return out;
 }
 
-/// Packs an inbox's payloads into one contiguous row-major batch (row i =
-/// i-th message, preserving the sender-sorted order).  Throws
-/// std::invalid_argument if payload dimensions disagree — a malformed
-/// Byzantine payload is rejected at the boundary, as the VectorList path
-/// does inside the rules.
-inline GradientBatch payload_batch(const std::vector<Message>& inbox) {
-  if (inbox.empty()) return GradientBatch();
-  const std::size_t dim = inbox.front().payload.size();
-  GradientBatch batch(inbox.size(), dim);
-  for (std::size_t i = 0; i < inbox.size(); ++i) {
-    const PayloadView& p = inbox[i].payload;
-    if (p.size() != dim) {
-      throw std::invalid_argument(
-          "payload_batch: payload dimensions disagree");
-    }
-    double* row = batch.row(i);
-    for (std::size_t k = 0; k < dim; ++k) row[k] = p[k];
-  }
-  return batch;
-}
-
-/// Zero-copy flavour of payload_batch(): the returned batch *borrows* the
-/// inbox's payload spans through `table` (filled here, one row pointer per
-/// message, reusable across calls) instead of copying n x d doubles.  Same
-/// dimension check, same row order.  Lifetime follows the payload ownership
-/// rule above: the view batch (and `table`) are valid only while the inbox's
-/// payloads are — i.e. for the duration of the receive() call — so a
-/// consumer must finish with the batch before returning, exactly as the
-/// agreement protocol does.
+/// Lends an inbox's payloads as one batch (row i = i-th message, in the
+/// sender-sorted order): the returned batch *borrows* the payload spans
+/// through `table` (filled here, one row pointer per message, reusable
+/// across calls) instead of copying n x d doubles.  Throws
+/// std::invalid_argument if payload dimensions disagree, so a malformed
+/// Byzantine payload is rejected at the boundary.  Lifetime follows the
+/// payload ownership rule above: the view batch (and `table`) are valid
+/// only while the inbox's payloads are — i.e. for the duration of the
+/// receive() call — so a consumer must finish with the batch before
+/// returning, exactly as the agreement protocol does.
 inline GradientBatch payload_batch_view(const std::vector<Message>& inbox,
                                         std::vector<const double*>& table) {
   table.clear();

@@ -1,9 +1,23 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <sstream>
 #include <stdexcept>
 
+#include "util/parse.hpp"
+
 namespace bcl {
+
+namespace {
+
+std::size_t parse_count(const std::string& name, const std::string& text) {
+  if (!text.empty() && text[0] == '-') {
+    throw std::invalid_argument("--" + name + " must be >= 0, got " + text);
+  }
+  return static_cast<std::size_t>(parse_strict_u64(text, "--" + name));
+}
+
+}  // namespace
 
 CliArgs::CliArgs(int argc, const char* const* argv,
                  const std::vector<std::string>& allowed) {
@@ -58,6 +72,23 @@ bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+std::size_t CliArgs::get_count(const std::string& name,
+                               std::size_t fallback) const {
+  const auto it = values_.find(name);
+  return it == values_.end() ? fallback : parse_count(name, it->second);
+}
+
+std::vector<std::size_t> CliArgs::get_counts(
+    const std::string& name, const std::string& fallback) const {
+  std::vector<std::size_t> out;
+  std::stringstream stream(get_string(name, fallback));
+  std::string token;
+  while (std::getline(stream, token, ',')) {
+    if (!token.empty()) out.push_back(parse_count(name, token));
+  }
+  return out;
 }
 
 }  // namespace bcl

@@ -1,13 +1,15 @@
 // Tests for src/agreement: epsilon-agreement, validity (outputs inside the
 // honest bounding box), the E_max halving of Theorem 4.4, fixed-round
-// scheduling, and the round functions.
+// scheduling, and MD-GEOM-STICKY, the rule only agreement can run.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "aggregation/minimum_diameter_rules.hpp"
+#include "aggregation/registry.hpp"
 #include "agreement/protocol.hpp"
-#include "agreement/round_function.hpp"
 #include "linalg/hyperbox.hpp"
 #include "network/adversary.hpp"
 #include "util/rng.hpp"
@@ -32,7 +34,7 @@ AgreementConfig box_geom_config(std::size_t n, std::size_t t,
   AgreementConfig cfg;
   cfg.n = n;
   cfg.t = t;
-  cfg.round_function = make_round_function("BOX-GEOM");
+  cfg.rule = make_rule("BOX-GEOM");
   cfg.epsilon = epsilon;
   cfg.max_rounds = 80;
   return cfg;
@@ -96,7 +98,7 @@ TEST(Agreement, BoxMeanAlsoContracts) {
   AgreementConfig cfg;
   cfg.n = n;
   cfg.t = 1;
-  cfg.round_function = make_round_function("BOX-MEAN");
+  cfg.rule = make_rule("BOX-MEAN");
   cfg.epsilon = 1e-5;
   cfg.max_rounds = 60;
   const auto result = run_approximate_agreement(GradientBatch::from(inputs),
@@ -188,15 +190,20 @@ TEST(Agreement, InputSizeMismatchThrows) {
       std::invalid_argument);
 }
 
-TEST(Agreement, MissingRoundFunctionThrows) {
+TEST(Agreement, NullRuleThrows) {
   VectorList inputs(4, Vector{0.0});
   NoAdversary adversary;
   AgreementConfig cfg;
   cfg.n = 4;
   cfg.t = 1;
-  EXPECT_THROW(run_approximate_agreement(GradientBatch::from(inputs), adversary,
-                                         cfg),
-               std::invalid_argument);
+  try {
+    run_approximate_agreement(GradientBatch::from(inputs), adversary, cfg);
+    ADD_FAILURE() << "no exception";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("AgreementConfig::rule"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(Agreement, ParallelPoolMatchesSerial) {
@@ -219,66 +226,84 @@ TEST(Agreement, ParallelPoolMatchesSerial) {
   }
 }
 
-// --- round functions ---
+// --- MD-GEOM-STICKY ---
 
-TEST(RoundFunction, RuleRoundDelegatesToRule) {
-  const auto fn = make_round_function("MEAN");
-  AggregationContext ctx;
-  ctx.n = 3;
-  ctx.t = 0;
-  const GradientBatch received = GradientBatch::from({{0.0}, {3.0}, {6.0}});
-  AggregationWorkspace ws(received);
-  const Vector out = fn->step(received, ws, {100.0}, ctx);
-  EXPECT_DOUBLE_EQ(out[0], 3.0);
-  EXPECT_EQ(fn->name(), "MEAN");
+/// One sticky step from `current`, as an agreement node takes it.
+Vector sticky_step(const GradientBatch& batch, AggregationWorkspace& ws,
+                   const Vector& current, AggregationContext ctx) {
+  ctx.current = &current;
+  return StickyMinDiameterGeoRule().aggregate(batch, ws, ctx);
 }
 
-TEST(RoundFunction, NullRuleRejected) {
-  EXPECT_THROW(RuleRound(nullptr), std::invalid_argument);
-}
-
-TEST(RoundFunction, StickyMdGeomPrefersSubsetNearCurrent) {
+TEST(StickyRule, PrefersSubsetNearCurrent) {
   // Two tied clusters; sticky tie-breaking keeps the node at its own camp.
-  const auto fn = make_round_function("MD-GEOM-STICKY");
   AggregationContext ctx;
   ctx.n = 6;
   ctx.t = 3;  // keep = 3: both clusters are tied minimum-diameter sets
   const GradientBatch received =
       GradientBatch::from({{0.0}, {0.1}, {0.2}, {10.0}, {10.1}, {10.2}});
   AggregationWorkspace ws(received);
-  const Vector near_zero = fn->step(received, ws, {0.1}, ctx);
-  const Vector near_ten = fn->step(received, ws, {10.1}, ctx);
+  const Vector near_zero = sticky_step(received, ws, {0.1}, ctx);
+  const Vector near_ten = sticky_step(received, ws, {10.1}, ctx);
   EXPECT_LT(near_zero[0], 1.0);
   EXPECT_GT(near_ten[0], 9.0);
 }
 
-TEST(RoundFunction, StickyMdGeomRejectsTooFewVectors) {
-  const auto fn = make_round_function("MD-GEOM-STICKY");
+TEST(StickyRule, RejectsTooFewVectors) {
   AggregationContext ctx;
   ctx.n = 5;
   ctx.t = 1;
   const GradientBatch received = GradientBatch::from({{0.0}});
   AggregationWorkspace ws(received);
-  EXPECT_THROW(fn->step(received, ws, {0.0}, ctx), std::invalid_argument);
+  EXPECT_THROW(sticky_step(received, ws, {0.0}, ctx), std::invalid_argument);
 }
 
-TEST(RoundFunction, StickyMdGeomValidatesInbox) {
-  // The sticky round runs the same inbox check as every rule: a non-finite
+TEST(StickyRule, ValidatesInbox) {
+  // The sticky rule runs the same inbox check as every rule: a non-finite
   // row and more rows than n are both rejected, never aggregated.
-  const auto fn = make_round_function("MD-GEOM-STICKY");
   AggregationContext ctx;
   ctx.n = 4;
   ctx.t = 1;
   const GradientBatch with_nan = GradientBatch::from(
       {{0.0, 1.0}, {std::nan(""), 0.0}, {1.0, 1.0}, {2.0, 0.0}});
   AggregationWorkspace nan_ws(with_nan);
-  EXPECT_THROW(fn->step(with_nan, nan_ws, {0.0, 0.0}, ctx),
+  EXPECT_THROW(sticky_step(with_nan, nan_ws, {0.0, 0.0}, ctx),
                std::invalid_argument);
   const GradientBatch too_many =
       GradientBatch::from({{0.0}, {1.0}, {2.0}, {3.0}, {4.0}, {5.0}});
   AggregationWorkspace many_ws(too_many);
-  EXPECT_THROW(fn->step(too_many, many_ws, {0.0}, ctx),
+  EXPECT_THROW(sticky_step(too_many, many_ws, {0.0}, ctx),
                std::invalid_argument);
+}
+
+TEST(StickyRule, RejectsMissingOrMismatchedCurrent) {
+  // Outside agreement nothing sets AggregationContext::current: the rule
+  // names itself instead of tie-breaking toward an arbitrary vector.
+  const StickyMinDiameterGeoRule rule;
+  EXPECT_TRUE(rule.reads_current());
+  AggregationContext ctx;
+  ctx.n = 4;
+  ctx.t = 1;
+  const GradientBatch received =
+      GradientBatch::from({{0.0, 1.0}, {1.0, 0.0}, {1.0, 1.0}, {2.0, 0.0}});
+  const auto expect_named_error = [&](const AggregationContext& c) {
+    AggregationWorkspace ws(received);
+    try {
+      rule.aggregate(received, ws, c);
+      ADD_FAILURE() << "no exception";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()).rfind("MD-GEOM-STICKY: ", 0), 0u)
+          << error.what();
+    }
+  };
+  expect_named_error(ctx);  // current is null
+  const Vector wrong_dim{0.0, 0.0, 0.0};
+  ctx.current = &wrong_dim;
+  expect_named_error(ctx);
+  const Vector right_dim{0.0, 0.0};
+  ctx.current = &right_dim;
+  AggregationWorkspace ws(received);
+  EXPECT_EQ(rule.aggregate(received, ws, ctx).size(), 2u);
 }
 
 // --- property sweep: convergence across n, t, d ---

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "agreement/protocol.hpp"
-#include "agreement/round_function.hpp"
+#include "aggregation/registry.hpp"
 #include "compression/codec.hpp"
 #include "compression/registry.hpp"
 #include "experiments/runner.hpp"
@@ -391,7 +391,7 @@ TEST(AgreementComp, SubRoundZeroShipsInputsUntransformed) {
   AgreementConfig base;
   base.n = n;
   base.t = 1;
-  base.round_function = make_round_function("BOX-GEOM");
+  base.rule = make_rule("BOX-GEOM");
   AgreementConfig compressed = base;
   compressed.codec = &codec;
   compressed.codec_seed = 99;  // a fresh stream, as the trainers mix it

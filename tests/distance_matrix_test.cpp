@@ -1,9 +1,9 @@
 // Tests for the shared distance-matrix workspace: DistanceMatrix agrees
 // with the per-pair kernels it replaces (bitwise, not approximately), the
 // pool-parallel build matches the serial one, laziness works, and every
-// aggregation rule / round function produces exactly the same output over
-// a workspace lent the exact per-pair matrix (the test oracle) as over the
-// Gram-trick workspace the trainers and the protocol build.
+// aggregation rule (MD-GEOM-STICKY included) produces exactly the same
+// output over a workspace lent the exact per-pair matrix (the test oracle)
+// as over the Gram-trick workspace the trainers and the protocol build.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +12,8 @@
 #include <limits>
 
 #include "aggregation/krum.hpp"
+#include "aggregation/minimum_diameter_rules.hpp"
 #include "aggregation/registry.hpp"
-#include "agreement/round_function.hpp"
 #include "geometry/medoid.hpp"
 #include "geometry/min_diameter.hpp"
 #include "geometry/subsets.hpp"
@@ -258,7 +258,7 @@ TEST(DistanceMatrix, MinDiameterSubsetMatchesBruteForce) {
 
 // --- differential oracle: per-pair distances vs the Gram workspace ---
 
-// Every registry rule plus the sticky MD-GEOM round, over a workspace lent
+// Every registry rule plus MD-GEOM-STICKY, over a workspace lent
 // the exact per-pair DistanceMatrix(VectorList) and over the default
 // Gram-trick workspace: the two builds agree to ~1e-12 relative, and on
 // these inputs every distance-based selection (Krum scores, medoid,
@@ -268,7 +268,7 @@ TEST(WorkspaceRegression, PerPairOracleMatchesGramWorkspace) {
   Rng rng(21);
   std::vector<std::string> names = all_rule_names();
   for (const auto& extra : extended_rule_names()) names.push_back(extra);
-  const auto sticky = make_round_function("MD-GEOM-STICKY");
+  const StickyMinDiameterGeoRule sticky;
   struct Shape {
     std::size_t n, t, d;
   };
@@ -279,6 +279,8 @@ TEST(WorkspaceRegression, PerPairOracleMatchesGramWorkspace) {
     for (int trial = 0; trial < 5; ++trial) {
       const VectorList received = random_points(rng, shape.n, shape.d);
       const Vector current = random_points(rng, 1, shape.d).front();
+      AggregationContext sticky_ctx = ctx;
+      sticky_ctx.current = &current;
       const GradientBatch batch = GradientBatch::from(received);
       const DistanceMatrix per_pair(received);
       for (const auto& name : names) {
@@ -291,8 +293,8 @@ TEST(WorkspaceRegression, PerPairOracleMatchesGramWorkspace) {
       }
       AggregationWorkspace oracle_ws(batch, &per_pair);
       AggregationWorkspace gram_ws(batch);
-      EXPECT_EQ(sticky->step(batch, oracle_ws, current, ctx),
-                sticky->step(batch, gram_ws, current, ctx))
+      EXPECT_EQ(sticky.aggregate(batch, oracle_ws, sticky_ctx),
+                sticky.aggregate(batch, gram_ws, sticky_ctx))
           << "MD-GEOM-STICKY d=" << shape.d << " trial " << trial;
     }
   }

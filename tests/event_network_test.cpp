@@ -11,7 +11,6 @@
 #include <memory>
 
 #include "agreement/protocol.hpp"
-#include "agreement/round_function.hpp"
 #include "aggregation/registry.hpp"
 #include "attacks/registry.hpp"
 #include "learning/decentralized.hpp"
@@ -596,7 +595,7 @@ AgreementResult run_agreement_with_net(const std::string& net,
   AgreementConfig config;
   config.n = n;
   config.t = t;
-  config.round_function = make_round_function("BOX-GEOM");
+  config.rule = make_rule("BOX-GEOM");
   config.net = NetConfig::parse(net);
   config.net.seed = seed;
   return run_fixed_rounds_agreement(GradientBatch::from(inputs), adversary, 5,

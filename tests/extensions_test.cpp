@@ -129,7 +129,7 @@ TEST(Delays, BoxGeomAgreementStillConvergesUnderDelays) {
   AgreementConfig cfg;
   cfg.n = n;
   cfg.t = t;
-  cfg.round_function = make_round_function("BOX-GEOM");
+  cfg.rule = make_rule("BOX-GEOM");
   cfg.epsilon = 1e-4;
   cfg.max_rounds = 80;
   const auto result = run_approximate_agreement(GradientBatch::from(inputs),
@@ -157,7 +157,7 @@ TEST(Delays, EmaxStillHalvesUnderDelays) {
   AgreementConfig cfg;
   cfg.n = n;
   cfg.t = 2;
-  cfg.round_function = make_round_function("BOX-GEOM");
+  cfg.rule = make_rule("BOX-GEOM");
   cfg.epsilon = 0.0;
   const auto result = run_fixed_rounds_agreement(GradientBatch::from(inputs),
                                                  adversary, 6, cfg);

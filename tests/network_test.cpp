@@ -264,10 +264,10 @@ TEST(Message, PayloadsPreserveOrder) {
   EXPECT_DOUBLE_EQ(p[1][0], 3.0);
 }
 
-TEST(Message, PayloadsAndBatchMaterializeOwnedCopies) {
-  // Payloads are views into engine-owned storage; the extraction helpers
-  // are where the one copy happens, so the results must not alias the
-  // backing buffer.
+TEST(Message, PayloadsCopyAndBatchViewBorrows) {
+  // Payloads are views into engine-owned storage.  payloads() is where
+  // the one copy happens, so its result must not alias the backing
+  // buffer; payload_batch_view() lends the payload spans as batch rows.
   Vector a{1.0, 2.0};
   Vector b{3.0, 4.0};
   std::vector<Message> inbox{{0, PayloadView(a), 16}, {2, PayloadView(b), 16}};
@@ -277,17 +277,20 @@ TEST(Message, PayloadsAndBatchMaterializeOwnedCopies) {
   a[0] = 9.0;                        // backing changes after the copy...
   EXPECT_DOUBLE_EQ(p[0][0], 1.0);    // ...the extracted copy does not
 
-  const GradientBatch batch = payload_batch(inbox);
+  std::vector<const double*> table;
+  const GradientBatch batch = payload_batch_view(inbox, table);
   ASSERT_EQ(batch.rows(), 2u);
   EXPECT_DOUBLE_EQ(batch.row(1)[0], 3.0);
-  EXPECT_DOUBLE_EQ(batch.row(0)[0], 9.0);  // packed from the live view
+  EXPECT_DOUBLE_EQ(batch.row(0)[0], 9.0);  // read through the live view
+  EXPECT_EQ(batch.row(1), b.data());       // borrowed, not copied
 }
 
-TEST(Message, PayloadBatchRejectsDimensionMismatch) {
+TEST(Message, PayloadBatchViewRejectsDimensionMismatch) {
   const Vector a{1.0, 2.0};
   const Vector b{3.0};
   std::vector<Message> inbox{{0, PayloadView(a), 16}, {2, PayloadView(b), 8}};
-  EXPECT_THROW(payload_batch(inbox), std::invalid_argument);
+  std::vector<const double*> table;
+  EXPECT_THROW(payload_batch_view(inbox, table), std::invalid_argument);
 }
 
 }  // namespace

@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "aggregation/approximation.hpp"
 #include "aggregation/hyperbox_rules.hpp"
 #include "aggregation/krum.hpp"
 #include "aggregation/minimum_diameter_rules.hpp"
+#include "aggregation/registry.hpp"
 #include "agreement/protocol.hpp"
 #include "geometry/safe_area.hpp"
 #include "linalg/hyperbox.hpp"
@@ -145,7 +147,7 @@ TEST(Lemma42, MdGeomSplitWorldNeverConverges) {
   AgreementConfig cfg;
   cfg.n = n;
   cfg.t = 2;
-  cfg.round_function = make_round_function("MD-GEOM-STICKY");
+  cfg.rule = std::make_shared<StickyMinDiameterGeoRule>();
   cfg.epsilon = 1e-6;
   const auto result = run_fixed_rounds_agreement(GradientBatch::from(inputs),
                                                  adversary, 12, cfg);
@@ -174,7 +176,7 @@ TEST(Lemma42, BoxGeomConvergesOnTheSameAdversary) {
   AgreementConfig cfg;
   cfg.n = n;
   cfg.t = 2;
-  cfg.round_function = make_round_function("BOX-GEOM");
+  cfg.rule = make_rule("BOX-GEOM");
   cfg.epsilon = 1e-4;
   cfg.max_rounds = 40;
   const auto result = run_approximate_agreement(GradientBatch::from(inputs),
@@ -264,7 +266,7 @@ TEST(Theorem44, EmaxHalvingHoldsUnderSplitWorldAndSignFlip) {
     AgreementConfig cfg;
     cfg.n = n;
     cfg.t = t;
-    cfg.round_function = make_round_function("BOX-GEOM");
+    cfg.rule = make_rule("BOX-GEOM");
     cfg.epsilon = 0.0;
     const auto result =
         run_fixed_rounds_agreement(GradientBatch::from(inputs), *adversary, 6,
@@ -294,7 +296,7 @@ TEST(Theorem44, ConvergedOutputsRemainValidApproximations) {
   AgreementConfig cfg;
   cfg.n = n;
   cfg.t = t;
-  cfg.round_function = make_round_function("BOX-GEOM");
+  cfg.rule = make_rule("BOX-GEOM");
   cfg.epsilon = 1e-5;
   cfg.max_rounds = 60;
   const auto result = run_approximate_agreement(GradientBatch::from(inputs),

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "aggregation/budget.hpp"
+#include "aggregation/minimum_diameter_rules.hpp"
 #include "aggregation/registry.hpp"
 #include "aggregation/sharded.hpp"
 #include "aggregation/sketched.hpp"
@@ -247,7 +248,7 @@ TEST(SketchedRules, NearTieTriggersAutomaticFallback) {
 
 TEST(RuleProperties, ViewBatchMatchesOwnedBitwise) {
   // The agreement protocol feeds every rule borrowed row-table views of
-  // the engine's payload spans (AgreementConfig::inbox_views).  Same
+  // the engine's payload spans (payload_batch_view).  Same
   // bytes, same kernels: every registry rule must produce bit-identical
   // output on a view of the rows it would get as an owned batch — or
   // throw loudly (check_owned) instead of silently reading a stale flat
@@ -290,6 +291,17 @@ TEST(RuleProperties, SharedGramMatchesPrivateBitwise) {
                    rule->aggregate(batch, private_ws, ctx),
                    rule->aggregate(batch, shared_ws, ctx));
   }
+}
+
+TEST(RuleProperties, OnlyStickyReadsCurrent) {
+  // reads_current() decides what agreement shares across nodes with equal
+  // inboxes: every registry rule is a pure function of its inbox, so the
+  // whole output is shared; MD-GEOM-STICKY reads the node's own vector,
+  // so only its distance build is.
+  for (const auto& name : every_rule_name()) {
+    EXPECT_FALSE(make_rule(name)->reads_current()) << name;
+  }
+  EXPECT_TRUE(StickyMinDiameterGeoRule().reads_current());
 }
 
 // --- the shared Byzantine-budget clamp -------------------------------------

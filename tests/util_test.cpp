@@ -9,6 +9,9 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "util/cli.hpp"
 #include "util/logging.hpp"
@@ -314,6 +317,31 @@ TEST(CliArgs, MissingFlagsFallBack) {
 TEST(CliArgs, NonFlagPositionalRejected) {
   const char* argv[] = {"prog", "stray"};
   EXPECT_THROW(CliArgs(2, argv, {}), std::invalid_argument);
+}
+
+TEST(CliArgs, CountGettersRejectNegativeAndMalformedValues) {
+  // A count never wraps: "-1" is an error naming the flag, not 2^64 - 1.
+  const char* argv[] = {"prog",  "--threads=-1", "--ms",  "100,,500",
+                        "--bad", "12x",          "--neg", "5,-2"};
+  CliArgs args(8, argv, {"threads", "ms", "bad", "neg", "absent"});
+  EXPECT_EQ(args.get_count("absent", 7), 7u);
+  EXPECT_EQ(args.get_counts("ms", ""), (std::vector<std::size_t>{100, 500}));
+  EXPECT_EQ(args.get_counts("absent", "1,2"),
+            (std::vector<std::size_t>{1, 2}));
+  const auto message = [&](auto&& call) {
+    try {
+      call();
+    } catch (const std::invalid_argument& error) {
+      return std::string(error.what());
+    }
+    return std::string("no exception");
+  };
+  EXPECT_EQ(message([&] { args.get_count("threads", 0); }),
+            "--threads must be >= 0, got -1");
+  EXPECT_EQ(message([&] { args.get_count("bad", 0); }),
+            "--bad expects a non-negative integer, got '12x'");
+  EXPECT_EQ(message([&] { args.get_counts("neg", ""); }),
+            "--neg must be >= 0, got -2");
 }
 
 // --- Logging / Stopwatch ---
