@@ -12,15 +12,17 @@
 #include <cmath>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 
 #include "core/bcl.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace bcl;
   const CliArgs args(argc, argv, {"dim", "rounds", "seed", "csv"});
-  const std::size_t d = static_cast<std::size_t>(args.get_int("dim", 3));
-  const std::size_t rounds =
-      static_cast<std::size_t>(args.get_int("rounds", 10));
+  const std::size_t d = args.get_count("dim", 3);
+  const std::size_t rounds = args.get_count("rounds", 10);
   Rng root(static_cast<std::uint64_t>(args.get_int("seed", 23)));
 
   const std::size_t n = 10;
@@ -134,4 +136,18 @@ int main(int argc, char** argv) {
     emax_table.write_csv(args.get_string("csv", "table_convergence.csv"));
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Flag parsing runs inside the try too, so a bad command line prints one
+  // "bench_table_agreement_convergence: ..." line and exits 1.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "bench_table_agreement_convergence: " << error.what()
+              << "\n";
+    return 1;
+  }
 }

@@ -8,24 +8,23 @@
 
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 
 #include "core/bcl.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int demo(int argc, char** argv) {
   using namespace bcl;
   const CliArgs args(argc, argv,
                      {"nodes", "byzantine", "dim", "rounds", "seed"});
-  const std::size_t n = static_cast<std::size_t>(args.get_int("nodes", 10));
-  const std::size_t t = static_cast<std::size_t>(args.get_int("byzantine", 2));
-  const std::size_t d = static_cast<std::size_t>(args.get_int("dim", 3));
-  const std::size_t rounds =
-      static_cast<std::size_t>(args.get_int("rounds", 10));
+  const std::size_t n = args.get_count("nodes", 10);
+  const std::size_t t = args.get_count("byzantine", 2);
+  const std::size_t d = args.get_count("dim", 3);
+  const std::size_t rounds = args.get_count("rounds", 10);
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
 
-  if (3 * t >= n) {
-    std::cerr << "need t < n/3\n";
-    return 1;
-  }
+  if (3 * t >= n) throw std::invalid_argument("need t < n/3");
 
   // Random honest inputs; Byzantine ids are the last t.
   VectorList inputs;
@@ -97,4 +96,17 @@ int main(int argc, char** argv) {
                  "MD-GEOM never leaves the initial configuration (Lemma 4.2).\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Flag parsing runs inside the try too, so a bad command line prints one
+  // "agreement_demo: ..." line and exits 1.
+  try {
+    return demo(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "agreement_demo: " << error.what() << "\n";
+    return 1;
+  }
 }

@@ -32,16 +32,42 @@ constexpr double kHandoffGuard = 1e-6;
 // C(m, m - t) >= m coordinate-space runs it replaces.
 constexpr std::size_t kWeightSpaceMaxRows = 128;
 
-// ||row - y|| with distance()'s arithmetic: coordinate-order accumulation
-// of squared differences, one sqrt.
-double row_distance(const double* row, const Vector& y) {
-  double s = 0.0;
-  for (std::size_t k = 0; k < y.size(); ++k) {
-    const double diff = row[k] - y[k];
-    s += diff * diff;
-  }
-  return std::sqrt(s);
+// Row i's pointer at [i]: the row table the coordinate passes read.
+std::vector<const double*> row_table(const GradientBatch& points) {
+  std::vector<const double*> rows(points.rows());
+  for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = points.row(i);
+  return rows;
 }
+
+// The buffers of one coordinate-space loop call, allocated once: the row
+// table, ||row_i - y|| per row, the weights and the next iterate.
+struct CoordinatePasses {
+  explicit CoordinatePasses(const GradientBatch& points)
+      : rows(row_table(points)),
+        dist(points.rows()),
+        weights(points.rows()),
+        next(points.dim()) {}
+
+  // dist[i] = ||row_i - y||, distance()'s value.
+  void distances(const Vector& y) {
+    kernels::squared_distances(rows.data(), rows.size(), y.data(), y.size(),
+                               dist.data());
+    for (double& x : dist) x = std::sqrt(x);
+  }
+
+  // next = sum_i weights[i] row_i / denominator over every row; returns
+  // ||next - y||.
+  double quotient(double denominator, const Vector& y) {
+    return std::sqrt(kernels::weighted_quotient(
+        rows.data(), weights.data(), rows.size(), denominator, y.data(),
+        y.size(), next.data()));
+  }
+
+  std::vector<const double*> rows;
+  std::vector<double> dist;
+  std::vector<double> weights;
+  Vector next;
+};
 
 // Three-way lexicographic compare of two rows, with equal meaning equal
 // under == in every coordinate (so -0.0 == 0.0).  NaN sorts after every
@@ -61,75 +87,6 @@ int compare_rows(const double* a, const double* b, std::size_t d) {
   return 0;
 }
 
-// The Kuhn-modified coordinate-space loop from iterate y at iteration
-// `first`: the centroid at iteration 0 past the row bound, or the
-// weight-space loop's iterate at a hand-off.  Leaves a kPoint form.
-void coordinate_loop(const GradientBatch& points, Vector y, std::size_t first,
-                     double spread, const WeiszfeldOptions& options,
-                     MedianForm& form) {
-  // The last (or converged) iterate.
-  const auto finish = [&form](Vector point, bool converged) {
-    form.kind = MedianForm::Kind::kPoint;
-    form.point = std::move(point);
-    form.converged = converged;
-  };
-  const std::size_t d = points.dim();
-  const std::size_t n = points.rows();
-  const double step_tol = options.tolerance * (1.0 + spread);
-  const double snap = 1e-14 * (1.0 + spread);
-  for (std::size_t it = first; it < options.max_iterations; ++it) {
-    form.iterations = it + 1;
-    Vector numerator = zeros(d);
-    double denominator = 0.0;
-    std::size_t anchor_multiplicity = 0;  // rows within snap of y
-    Vector pull = zeros(d);  // summed unit directions from y to other points
-    for (std::size_t i = 0; i < n; ++i) {
-      const double* row = points.row(i);
-      const double dist_i = row_distance(row, y);
-      if (dist_i <= snap) {
-        ++anchor_multiplicity;
-        continue;
-      }
-      const double w = 1.0 / dist_i;
-      kernels::axpy(numerator.data(), w, row, d);
-      denominator += w;
-      for (std::size_t k = 0; k < d; ++k) {
-        pull[k] += (row[k] - y[k]) * w;
-      }
-    }
-    if (anchor_multiplicity > 0) {
-      // y sits on an input point.  Kuhn's optimality test: y is the
-      // geometric median iff ||pull|| <= multiplicity of the anchor.
-      const double pull_norm = norm2(pull);
-      if (pull_norm <= static_cast<double>(anchor_multiplicity) + 1e-12) {
-        finish(std::move(y), true);
-        return;
-      }
-      // Otherwise push y off the anchor along the pull direction by the
-      // standard Kuhn step: move by (||pull|| - mult)/denominator.
-      const double move =
-          (pull_norm - static_cast<double>(anchor_multiplicity)) / denominator;
-      Vector next = y;
-      axpy(next, move / pull_norm, pull);
-      const double step = distance(next, y);
-      y = std::move(next);
-      if (step <= step_tol) {
-        finish(std::move(y), true);
-        return;
-      }
-      continue;
-    }
-    Vector next = scale(numerator, 1.0 / denominator);
-    const double step = distance(next, y);
-    y = std::move(next);
-    if (step <= step_tol) {
-      finish(std::move(y), true);
-      return;
-    }
-  }
-  finish(std::move(y), false);
-}
-
 // out = block * x for the s x s row-major block.
 void block_times(const std::vector<double>& block, const std::vector<double>& x,
                  std::vector<double>& out) {
@@ -140,6 +97,69 @@ void block_times(const std::vector<double>& block, const std::vector<double>& x,
 }
 
 }  // namespace
+
+MedianForm weiszfeld_coordinate_loop(const GradientBatch& points, Vector y,
+                                     std::size_t first, double spread,
+                                     const WeiszfeldOptions& options) {
+  MedianForm form;
+  form.kind = MedianForm::Kind::kPoint;
+  form.iterations = first;
+  // The last (or converged) iterate.
+  const auto finish = [&](bool converged) {
+    form.point = std::move(y);
+    form.converged = converged;
+    form.coordinate_iterations = form.iterations - first;
+    return std::move(form);
+  };
+  const std::size_t d = points.dim();
+  const std::size_t n = points.rows();
+  const double step_tol = options.tolerance * (1.0 + spread);
+  const double snap = 1e-14 * (1.0 + spread);
+  CoordinatePasses passes(points);
+  Vector pull;  // summed unit directions from y to the unanchored rows
+  for (std::size_t it = first; it < options.max_iterations; ++it) {
+    form.iterations = it + 1;
+    passes.distances(y);
+    double denominator = 0.0;
+    std::size_t anchor_multiplicity = 0;  // rows within snap of y
+    for (std::size_t i = 0; i < n; ++i) {
+      if (passes.dist[i] <= snap) {
+        ++anchor_multiplicity;
+        continue;
+      }
+      passes.weights[i] = 1.0 / passes.dist[i];
+      denominator += passes.weights[i];
+    }
+    double step;
+    if (anchor_multiplicity > 0) {
+      // y sits on an input point.  Kuhn's optimality test: y is the
+      // geometric median iff ||pull|| <= multiplicity of the anchor.
+      pull.assign(d, 0.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (passes.dist[i] <= snap) continue;
+        const double* row = passes.rows[i];
+        const double w = passes.weights[i];
+        for (std::size_t k = 0; k < d; ++k) pull[k] += (row[k] - y[k]) * w;
+      }
+      const double pull_norm = norm2(pull);
+      if (pull_norm <= static_cast<double>(anchor_multiplicity) + 1e-12) {
+        return finish(true);
+      }
+      // Otherwise push y off the anchor along the pull direction by the
+      // standard Kuhn step: move by (||pull|| - mult)/denominator.
+      const double move =
+          (pull_norm - static_cast<double>(anchor_multiplicity)) / denominator;
+      std::copy(y.begin(), y.end(), passes.next.begin());
+      axpy(passes.next, move / pull_norm, pull);
+      step = distance(passes.next, y);
+    } else {
+      step = passes.quotient(denominator, y);
+    }
+    y.swap(passes.next);
+    if (step <= step_tol) return finish(true);
+  }
+  return finish(false);
+}
 
 MedianForm weiszfeld_median(const GradientBatch& batch,
                             const DistanceMatrix& distances,
@@ -192,13 +212,11 @@ MedianForm weiszfeld_median(const GradientBatch& batch,
       // Written so that a non-finite identity (squared distances past
       // DBL_MAX) hands off too, to the coordinate loop's handling.
       if (!(dist2 > kHandoffGuard * d_lambda[k])) {
-        MedianForm form;
-        form.iterations = iterations;
-        form.coordinate_handoff = true;
         std::vector<const double*> table;
-        coordinate_loop(rows_view(batch, indices, table),
-                        materialize(iterate(), batch), it, spread, options,
-                        form);
+        MedianForm form = weiszfeld_coordinate_loop(
+            rows_view(batch, indices, table), materialize(iterate(), batch),
+            it, spread, options);
+        form.coordinate_handoff = true;
         return form;
       }
       next_w[k] = 1.0 / std::sqrt(dist2);
@@ -327,6 +345,7 @@ WeiszfeldResult to_result(MedianForm form, const GradientBatch& batch,
   result.iterations = form.iterations;
   result.converged = form.converged;
   result.coordinate_handoff = form.coordinate_handoff;
+  result.coordinate_iterations = form.coordinate_iterations;
   result.objective = geometric_median_objective(points, result.point);
   return result;
 }
@@ -339,10 +358,12 @@ double geometric_median_objective(const GradientBatch& points,
     throw std::invalid_argument(
         "geometric_median_objective: dimension mismatch");
   }
+  const std::vector<const double*> rows = row_table(points);
+  std::vector<double> dist2(rows.size());
+  kernels::squared_distances(rows.data(), rows.size(), y.data(), y.size(),
+                             dist2.data());
   double s = 0.0;
-  for (std::size_t i = 0; i < points.rows(); ++i) {
-    s += row_distance(points.row(i), y);
-  }
+  for (const double x : dist2) s += std::sqrt(x);
   return s;
 }
 
@@ -360,8 +381,8 @@ WeiszfeldResult geometric_median(const GradientBatch& points,
       // Rows equal up to an underflowing difference.
       form = MedianForm::row(0);
     } else if (points.rows() > kWeightSpaceMaxRows) {
-      form.emplace();
-      coordinate_loop(points, mean(points), 0, spread, options, *form);
+      form = weiszfeld_coordinate_loop(points, mean(points), 0, spread,
+                                       options);
     } else {
       form = weiszfeld_median(points, DistanceMatrix(points), all, spread,
                               options);
@@ -413,7 +434,6 @@ WeiszfeldResult smoothed_geometric_median(const GradientBatch& points,
   if (nu <= 0.0) {
     throw std::invalid_argument("smoothed_geometric_median: nu must be > 0");
   }
-  const std::size_t d = points.dim();
   WeiszfeldResult result;
   if (points.rows() == 1) {
     result.point = points.row_copy(0);
@@ -423,19 +443,18 @@ WeiszfeldResult smoothed_geometric_median(const GradientBatch& points,
   const double spread = Hyperbox::bounding(points).diagonal();
   const double step_tol = options.tolerance * (1.0 + spread);
   Vector y = mean(points);
+  CoordinatePasses passes(points);
   for (std::size_t it = 0; it < options.max_iterations; ++it) {
     result.iterations = it + 1;
-    Vector numerator = zeros(d);
+    passes.distances(y);
     double denominator = 0.0;
     for (std::size_t i = 0; i < points.rows(); ++i) {
       // Smoothing floor: the weight saturates once a point is within nu.
-      const double w = 1.0 / std::max(nu, row_distance(points.row(i), y));
-      kernels::axpy(numerator.data(), w, points.row(i), d);
-      denominator += w;
+      passes.weights[i] = 1.0 / std::max(nu, passes.dist[i]);
+      denominator += passes.weights[i];
     }
-    Vector next = scale(numerator, 1.0 / denominator);
-    const double step = distance(next, y);
-    y = std::move(next);
+    const double step = passes.quotient(denominator, y);
+    y.swap(passes.next);
     if (step <= step_tol) {
       result.converged = true;
       break;
@@ -450,21 +469,29 @@ WeiszfeldMetrics::WeiszfeldMetrics(obs::MetricsRegistry* registry) {
   if (registry == nullptr) return;
   iterations_ = &registry->histogram("weiszfeld.iterations");
   handoffs_ = &registry->counter("weiszfeld.coordinate_handoffs");
+  coordinate_iterations_ =
+      &registry->counter("weiszfeld.coordinate_iterations");
   unconverged_ = &registry->counter("weiszfeld.unconverged");
 }
 
 void WeiszfeldMetrics::record(const WeiszfeldResult& result) const {
-  if (iterations_ == nullptr) return;
-  iterations_->record(static_cast<double>(result.iterations));
-  if (result.coordinate_handoff) handoffs_->add();
-  if (!result.converged) unconverged_->add();
+  record(result.iterations, result.coordinate_iterations,
+         result.coordinate_handoff, result.converged);
 }
 
 void WeiszfeldMetrics::record(const MedianForm& form) const {
+  record(form.iterations, form.coordinate_iterations,
+         form.coordinate_handoff, form.converged);
+}
+
+void WeiszfeldMetrics::record(std::size_t iterations,
+                              std::size_t coordinate_iterations, bool handoff,
+                              bool converged) const {
   if (iterations_ == nullptr) return;
-  iterations_->record(static_cast<double>(form.iterations));
-  if (form.coordinate_handoff) handoffs_->add();
-  if (!form.converged) unconverged_->add();
+  iterations_->record(static_cast<double>(iterations));
+  if (handoff) handoffs_->add();
+  coordinate_iterations_->add(coordinate_iterations);
+  if (!converged) unconverged_->add();
 }
 
 }  // namespace bcl

@@ -26,7 +26,11 @@
 // longer resolve ||y - v_k|| to Kuhn's snap radius.  The loop then hands
 // off: it materializes y (the centroid itself, as mean(points), when this
 // happens at iteration 0) and continues in the coordinate-space loop, which
-// keeps Kuhn's anchor test and push; the iteration count carries on.
+// keeps Kuhn's anchor test and push; the iteration count carries on.  An
+// iteration there is O(s * d): the kernels::squared_distances pass, then
+// one kernels::weighted_quotient pass forming the numerator, the quotient
+// and the step, or Kuhn's pull when y lies on a row.  Both keep the naive
+// loop's every operation and its order (tests/weiszfeld_oracle.hpp).
 //
 // A median is first computed as a *form* (MedianForm), not a vector: one
 // batch row (n = 1, a majority class, zero spread), a two-row midpoint,
@@ -79,6 +83,9 @@ struct WeiszfeldResult {
   /// True when the weight-space loop handed off to the coordinate loop
   /// near an input point.
   bool coordinate_handoff = false;
+  /// The iterations of `iterations` that ran in the O(s * d) coordinate
+  /// loop: those from the hand-off on, or all of them past the row bound.
+  std::size_t coordinate_iterations = 0;
   /// sum_i ||v_i - point||, the minimized objective.
   double objective = 0.0;
 };
@@ -101,6 +108,7 @@ struct MedianForm {
   std::size_t iterations = 0;
   bool converged = true;
   bool coordinate_handoff = false;
+  std::size_t coordinate_iterations = 0;  // as in WeiszfeldResult
 
   static MedianForm row(std::size_t i);
   static MedianForm midpoint(std::size_t a, std::size_t b);
@@ -153,6 +161,18 @@ MedianForm weiszfeld_median(const GradientBatch& batch,
                             const std::vector<std::size_t>& indices,
                             double spread, const WeiszfeldOptions& options);
 
+/// The Kuhn-modified coordinate-space loop over all rows of `points` from
+/// iterate y at iteration `first` (counts run on from `first`), with
+/// `spread` the rows' bounding-box diagonal: the weight-space loop's
+/// hand-off continues here, and past the row bound geometric_median(points)
+/// runs it from the centroid at iteration 0.  Each iteration is
+/// kernels::squared_distances, then kernels::weighted_quotient, or Kuhn's
+/// pull, test and push when some row lies within 1e-14 * (1 + spread) of
+/// y.  Returns a kPoint form; coordinate_handoff is the caller's to set.
+MedianForm weiszfeld_coordinate_loop(const GradientBatch& points, Vector y,
+                                     std::size_t first, double spread,
+                                     const WeiszfeldOptions& options);
+
 /// Computes the geometric median of a non-empty batch's rows.  For one
 /// point the answer is the point; for two points the midpoint (every point
 /// on the segment is a minimizer; the midpoint is the canonical symmetric
@@ -197,6 +217,7 @@ WeiszfeldResult smoothed_geometric_median(const GradientBatch& points,
 /// The registry metrics of the kernel, resolved once per rule call: each
 /// result's iteration count in the `weiszfeld.iterations` histogram (the
 /// closed forms count 0), hand-offs in `weiszfeld.coordinate_handoffs`,
+/// the O(s * d) iterations among them in `weiszfeld.coordinate_iterations`,
 /// and results that hit max_iterations in `weiszfeld.unconverged`.  A null
 /// registry records nothing.  record() is safe from pool workers.
 class WeiszfeldMetrics {
@@ -206,8 +227,12 @@ class WeiszfeldMetrics {
   void record(const MedianForm& form) const;
 
  private:
+  void record(std::size_t iterations, std::size_t coordinate_iterations,
+              bool handoff, bool converged) const;
+
   obs::Histogram* iterations_ = nullptr;
   obs::Counter* handoffs_ = nullptr;
+  obs::Counter* coordinate_iterations_ = nullptr;
   obs::Counter* unconverged_ = nullptr;
 };
 

@@ -71,6 +71,34 @@ void dot_rows(const double* a, const double* b, std::size_t rows,
 /// order (bitwise identical to the naive per-coordinate loop over rows).
 void col_sum(const double* x, std::size_t m, std::size_t k, double* out);
 
+// --- Weiszfeld's coordinate passes ------------------------------------------
+//
+// One iteration of the coordinate-space Weiszfeld loop is two passes over
+// s rows of length d (rows[i] points at row i).  Neither reassociates:
+// every output is the naive loop's value bit for bit, whatever the row
+// count, the block widths, or the SSE2 / scalar path.  What the kernels
+// change is only which independent chains run side by side.
+
+/// out[i] = sum_k (rows[i][k] - y[k])^2 for i < s.  Each sum starts at 0.0
+/// and adds diff * diff in increasing k, one chain per row: the arithmetic
+/// of the naive `diff = row[k] - y[k]; s += diff * diff` loop, so
+/// std::sqrt(out[i]) is distance()'s value.  Four rows run abreast (two
+/// 2-lane SSE2 accumulators, each lane one row's scalar sequence), then the
+/// remaining rows one at a time.
+void squared_distances(const double* const* rows, std::size_t s,
+                       const double* y, std::size_t d, double* out);
+
+/// The Weiszfeld update from iterate y: out[k] = (1.0 / denominator) *
+/// a_k with a_k = sum_i weights[i] * rows[i][k] summed from 0.0 in
+/// increasing i (what kernels::axpy into a zeroed numerator, row by row,
+/// then scale() computes).  Returns sum_k (out[k] - y[k])^2 accumulated in
+/// increasing k, the squared distance() from y to out.  Works over blocks
+/// of 16 coordinates, all rows per block, so the a_k chains of a block run
+/// side by side.  out must not alias y.
+double weighted_quotient(const double* const* rows, const double* weights,
+                         std::size_t s, double denominator, const double* y,
+                         std::size_t d, double* out);
+
 // --- sparse-row kernels ----------------------------------------------------
 //
 // Compressed (top-k / rand-k) gradients are mostly zeros; these kernels let

@@ -345,6 +345,7 @@ TEST(BoxRules, WeiszfeldMetricsCountEveryMedian) {
             binomial(7, 5) + 2);
   EXPECT_GT(snap.histograms.at("weiszfeld.iterations").min, 0.0);
   EXPECT_EQ(snap.counters.at("weiszfeld.coordinate_handoffs"), 0u);
+  EXPECT_EQ(snap.counters.at("weiszfeld.coordinate_iterations"), 0u);
   EXPECT_EQ(snap.counters.at("weiszfeld.unconverged"), 0u);
 }
 

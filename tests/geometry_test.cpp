@@ -386,6 +386,10 @@ TEST(WeiszfeldOracle, EveryEntryPointMatchesCoordinateOracle) {
             EXPECT_GE(r->iterations + 1, oracle.iterations);
             EXPECT_EQ(r->converged, oracle.converged);
           }
+          // Every hand-off runs the coordinate loop at least once, and
+          // nothing else runs it below the row bound.
+          EXPECT_EQ(r->coordinate_iterations > 0, r->coordinate_handoff);
+          EXPECT_LE(r->coordinate_iterations, r->iterations);
           if (r->coordinate_handoff) ++handoffs;
         }
       }
@@ -412,6 +416,7 @@ TEST(WeiszfeldOracle, AboveRowBoundMatchesOracleBitwise) {
   EXPECT_EQ(r.objective, oracle.objective);
   EXPECT_TRUE(r.converged);
   EXPECT_FALSE(r.coordinate_handoff);
+  EXPECT_EQ(r.coordinate_iterations, r.iterations);
 }
 
 TEST(WeiszfeldOracle, OverflowingDistancesFollowOracleBitwise) {
@@ -430,6 +435,136 @@ TEST(WeiszfeldOracle, OverflowingDistancesFollowOracleBitwise) {
             0);
   EXPECT_EQ(r.iterations, oracle.iterations);
   EXPECT_TRUE(r.coordinate_handoff);
+  EXPECT_EQ(r.coordinate_iterations, r.iterations);
+}
+
+// --- the coordinate passes against the naive loops, bit for bit ---
+
+// Row counts covering every tail of the distance pass's 4-row sweeps, at
+// the subset sizes of agreement and past the weight-space row bound, and
+// dimensions covering every tail of the update pass's 16-coordinate
+// blocks (none, 1, 2, 3 and 15 coordinates) up to the MLP's d.
+std::vector<std::size_t> pass_row_counts() {
+  std::vector<std::size_t> counts;
+  for (std::size_t n = 3; n <= 20; ++n) counts.push_back(n);
+  for (std::size_t n = 129; n <= 137; ++n) counts.push_back(n);
+  return counts;
+}
+
+const std::vector<std::size_t> kPassDims{1, 2, 3, 16, 17, 31, 1842};
+
+// A row set and an iterate to start the coordinate loop from.
+struct CoordinateStart {
+  std::string name;
+  VectorList rows;
+  Vector y;
+};
+
+std::vector<CoordinateStart> coordinate_starts(Rng& rng, std::size_t n,
+                                               std::size_t d) {
+  VectorList gaussian;
+  for (std::size_t i = 0; i < n; ++i) gaussian.push_back(gaussian_row(rng, d));
+  std::vector<CoordinateStart> starts;
+  starts.push_back({"centroid", gaussian, mean(gaussian)});
+  // On a row: Kuhn's test fails and the iterate is pushed off it.
+  starts.push_back({"on-row", gaussian, gaussian[n / 2]});
+  // On row 0 repeated: twice, pushed off it once n is large enough, and
+  // on ceil(n / 2) rows, where ||pull|| <= n - mult <= mult makes it
+  // optimal (Kuhn's other exit).
+  for (const std::size_t copies : {std::size_t{2}, (n + 1) / 2}) {
+    VectorList rows = gaussian;
+    for (std::size_t i = 1; i < copies; ++i) rows[i] = rows[0];
+    starts.push_back({"repeated-row", rows, rows[0]});
+  }
+  // From the centre of a tight cluster with far rows, where asynchronous
+  // agreement's subset medians hand off.
+  const Vector centre = gaussian_row(rng, d);
+  const std::size_t far = std::max<std::size_t>(1, n / 4);
+  VectorList cluster;
+  for (std::size_t i = 0; i < n - far; ++i) {
+    cluster.push_back(add(centre, gaussian_row(rng, d, 1e-4)));
+  }
+  for (std::size_t i = 0; i < far; ++i) {
+    cluster.push_back(add(centre, gaussian_row(rng, d, 1e3)));
+  }
+  starts.push_back({"cluster", cluster, centre});
+  return starts;
+}
+
+bool bitwise_equal(const Vector& a, const Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(WeiszfeldOracle, CoordinateLoopMatchesOracleBitwiseFromAnyStart) {
+  // Production's loop (the distance and update passes, the lazy pull)
+  // against the naive loop from every start, at iterations 0 and 5, run
+  // to convergence and cut two iterations in (the unconverged exit): the
+  // same point, iteration count and exit.  The objective at the start and
+  // at the result is the naive row-order sum of naive distances.
+  Rng rng(4242);
+  std::size_t optimal_exits = 0;
+  std::size_t unconverged = 0;
+  for (const std::size_t n : pass_row_counts()) {
+    for (const std::size_t d : kPassDims) {
+      for (const CoordinateStart& start : coordinate_starts(rng, n, d)) {
+        SCOPED_TRACE(start.name + " n=" + std::to_string(n) +
+                     " d=" + std::to_string(d));
+        const GradientBatch points = GradientBatch::from(start.rows);
+        const double spread = Hyperbox::bounding(points).diagonal();
+        EXPECT_EQ(geometric_median_objective(points, start.y),
+                  test::oracle_objective(points, start.y));
+        for (const std::size_t first : {std::size_t{0}, std::size_t{5}}) {
+          for (const std::size_t cap : {std::size_t{1000}, first + 2}) {
+            WeiszfeldOptions options;
+            options.max_iterations = cap;
+            const MedianForm got = weiszfeld_coordinate_loop(
+                points, start.y, first, spread, options);
+            const WeiszfeldResult want = test::oracle_coordinate_loop(
+                points, start.y, first, spread, options);
+            EXPECT_TRUE(bitwise_equal(got.point, want.point));
+            EXPECT_EQ(got.iterations, want.iterations);
+            EXPECT_EQ(got.converged, want.converged);
+            EXPECT_EQ(got.coordinate_iterations, got.iterations - first);
+            EXPECT_EQ(geometric_median_objective(points, got.point),
+                      want.objective);
+            optimal_exits += want.converged && want.iterations == first + 1 &&
+                             bitwise_equal(want.point, start.y);
+            unconverged += !want.converged;
+          }
+        }
+      }
+    }
+  }
+  // Kuhn's optimality exit and the iteration cap are both reached.
+  EXPECT_GT(optimal_exits, 0u);
+  EXPECT_GT(unconverged, 0u);
+}
+
+TEST(WeiszfeldOracle, SmoothedLoopMatchesOracleBitwise) {
+  // RFA's smoothed loop, run on the coordinate passes, against the naive
+  // loop on the same row sets, at a floor below and above the rows'
+  // nearest distances.
+  Rng rng(4343);
+  for (const std::size_t n : pass_row_counts()) {
+    for (const std::size_t d : kPassDims) {
+      for (const CoordinateStart& start : coordinate_starts(rng, n, d)) {
+        const GradientBatch points = GradientBatch::from(start.rows);
+        for (const double nu : {1e-6, 1e-2}) {
+          SCOPED_TRACE(start.name + " n=" + std::to_string(n) +
+                       " d=" + std::to_string(d) +
+                       " nu=" + std::to_string(nu));
+          const WeiszfeldResult got = smoothed_geometric_median(points, nu);
+          const WeiszfeldResult want =
+              test::oracle_smoothed_geometric_median(points, nu);
+          EXPECT_TRUE(bitwise_equal(got.point, want.point));
+          EXPECT_EQ(got.iterations, want.iterations);
+          EXPECT_EQ(got.converged, want.converged);
+          EXPECT_EQ(got.objective, want.objective);
+        }
+      }
+    }
+  }
 }
 
 TEST(Weiszfeld, SubsetEntryOverEveryRowMatchesPointsBitwise) {

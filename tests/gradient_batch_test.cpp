@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "core/bcl.hpp"
 
@@ -80,6 +82,58 @@ TEST(Kernels, GramUpperMatchesDotsWithinTolerance) {
             kernels::dot_seq(x.data() + i * k, x.data() + j * k, k);
         EXPECT_NEAR(g[i * m + j], want, 1e-12 * (1.0 + std::abs(want)));
       }
+    }
+  }
+}
+
+TEST(Kernels, WeiszfeldPassesMatchNaiveLoopsBitwise) {
+  // Every output of the two passes, the returned step sum included (which
+  // the loops only compare against a tolerance), against the one-chain
+  // loops they replace: row counts around the 4-row sweeps and dimensions
+  // around the 16-coordinate blocks.  Coordinates of mixed magnitude make
+  // any reordering of a sum show in its last bits.
+  Rng rng(44);
+  for (const std::size_t s : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 13u}) {
+    for (const std::size_t d : {1u, 2u, 15u, 16u, 17u, 31u, 33u, 1842u}) {
+      SCOPED_TRACE("s=" + std::to_string(s) + " d=" + std::to_string(d));
+      std::vector<double> x(s * d);
+      for (auto& v : x) {
+        v = rng.gaussian() * std::pow(10.0, rng.uniform(-3.0, 3.0));
+      }
+      std::vector<const double*> rows(s);
+      for (std::size_t i = 0; i < s; ++i) rows[i] = x.data() + i * d;
+      std::vector<double> y(d);
+      for (auto& v : y) v = rng.gaussian();
+      std::vector<double> weights(s);
+      double denominator = 0.0;
+      for (auto& w : weights) {
+        w = 1.0 / rng.uniform(0.1, 10.0);
+        denominator += w;
+      }
+
+      std::vector<double> dist2(s);
+      kernels::squared_distances(rows.data(), s, y.data(), d, dist2.data());
+      for (std::size_t i = 0; i < s; ++i) {
+        double want = 0.0;
+        for (std::size_t k = 0; k < d; ++k) {
+          const double diff = rows[i][k] - y[k];
+          want += diff * diff;
+        }
+        EXPECT_EQ(dist2[i], want) << "row " << i;
+      }
+
+      std::vector<double> next(d);
+      const double step2 = kernels::weighted_quotient(
+          rows.data(), weights.data(), s, denominator, y.data(), d,
+          next.data());
+      std::vector<double> numerator(d, 0.0);
+      for (std::size_t i = 0; i < s; ++i) {
+        kernels::axpy(numerator.data(), weights[i], rows[i], d);
+      }
+      const Vector want_next = scale(numerator, 1.0 / denominator);
+      EXPECT_EQ(std::memcmp(next.data(), want_next.data(), d * sizeof(double)),
+                0);
+      EXPECT_EQ(step2, distance_squared(want_next, y));
     }
   }
 }

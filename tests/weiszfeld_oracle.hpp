@@ -1,10 +1,14 @@
 #pragma once
 // Differential oracle for the Weiszfeld kernel: the same closed forms,
 // then the Kuhn-modified loop in coordinate space from the centroid.
-// Every iteration reads all n rows (O(n * d) per iteration) and runs
-// Kuhn's anchor test on coordinate distances, with no weight-space step
-// and no hand-off.  Nothing in src/ calls it; tests compare both entry
-// points of geometric_median against it.
+// Every iteration reads all n rows (O(n * d) per iteration) one row at a
+// time and runs Kuhn's anchor test on coordinate distances, with no
+// weight-space step and no hand-off.  The loop is also callable from any
+// iterate (oracle_coordinate_loop), the reference for production's
+// weiszfeld_coordinate_loop, and the Fermat objective and RFA's smoothed
+// loop have naive twins here too.  Nothing in src/ calls it; tests
+// compare both entry points of geometric_median, the coordinate loop, the
+// objective and smoothed_geometric_median against it.
 
 #include <algorithm>
 #include <cmath>
@@ -28,60 +32,30 @@ inline double oracle_row_distance(const double* row, const Vector& y) {
   return std::sqrt(s);
 }
 
-inline WeiszfeldResult oracle_geometric_median(
-    const GradientBatch& points, const WeiszfeldOptions& options = {}) {
-  if (points.empty()) {
-    throw std::invalid_argument("geometric_median: empty point list");
+// sum_i ||v_i - y||, the terms added in row order.
+inline double oracle_objective(const GradientBatch& points, const Vector& y) {
+  double s = 0.0;
+  for (std::size_t i = 0; i < points.rows(); ++i) {
+    s += oracle_row_distance(points.row(i), y);
   }
+  return s;
+}
+
+// The Kuhn-modified coordinate loop over all rows of `points` from iterate
+// y at iteration `first` (the count runs on from there), with `spread`
+// the rows' bounding-box diagonal.
+inline WeiszfeldResult oracle_coordinate_loop(const GradientBatch& points,
+                                              Vector y, std::size_t first,
+                                              double spread,
+                                              const WeiszfeldOptions& options) {
   const std::size_t d = points.dim();
   const std::size_t n = points.rows();
   WeiszfeldResult result;
-
-  if (n == 1) {
-    result.point = points.row_copy(0);
-    result.converged = true;
-    return result;
-  }
-  if (n == 2) {
-    result.point = scale(add(points.row_copy(0), points.row_copy(1)), 0.5);
-    result.converged = true;
-    result.objective = geometric_median_objective(points, result.point);
-    return result;
-  }
-
-  // Majority property: if some point has multiplicity > n/2 it is the
-  // geometric median.  Rows are keyed by lexicographic comparison, so the
-  // key of each class is its first row.
-  {
-    const auto row_less = [d](const double* a, const double* b) {
-      return std::lexicographical_compare(a, a + d, b, b + d);
-    };
-    std::map<const double*, std::size_t, decltype(row_less)> counts(row_less);
-    for (std::size_t i = 0; i < n; ++i) ++counts[points.row(i)];
-    for (const auto& [p, c] : counts) {
-      if (2 * c > n) {
-        result.point.assign(p, p + d);
-        result.converged = true;
-        result.objective = geometric_median_objective(points, result.point);
-        return result;
-      }
-    }
-  }
-
-  const double spread = Hyperbox::bounding(points).diagonal();
-  if (spread == 0.0) {
-    // All points identical (not caught above only if n is even and split
-    // impossible; defensive).
-    result.point = points.row_copy(0);
-    result.converged = true;
-    return result;
-  }
+  result.iterations = first;
   const double step_tol = options.tolerance * (1.0 + spread);
   const double snap = 1e-14 * (1.0 + spread);
 
-  // Start from the centroid, the standard initial iterate.
-  Vector y = mean(points);
-  for (std::size_t it = 0; it < options.max_iterations; ++it) {
+  for (std::size_t it = first; it < options.max_iterations; ++it) {
     result.iterations = it + 1;
     Vector numerator = zeros(d);
     double denominator = 0.0;
@@ -108,7 +82,7 @@ inline WeiszfeldResult oracle_geometric_median(
       if (pull_norm <= static_cast<double>(anchor_multiplicity) + 1e-12) {
         result.point = y;
         result.converged = true;
-        result.objective = geometric_median_objective(points, y);
+        result.objective = oracle_objective(points, y);
         return result;
       }
       // Otherwise push y off the anchor along the pull direction by the
@@ -122,7 +96,7 @@ inline WeiszfeldResult oracle_geometric_median(
       if (step <= step_tol) {
         result.point = y;
         result.converged = true;
-        result.objective = geometric_median_objective(points, y);
+        result.objective = oracle_objective(points, y);
         return result;
       }
       continue;
@@ -133,13 +107,110 @@ inline WeiszfeldResult oracle_geometric_median(
     if (step <= step_tol) {
       result.point = y;
       result.converged = true;
-      result.objective = geometric_median_objective(points, y);
+      result.objective = oracle_objective(points, y);
       return result;
     }
   }
   result.point = y;
   result.converged = false;
-  result.objective = geometric_median_objective(points, y);
+  result.objective = oracle_objective(points, y);
+  return result;
+}
+
+inline WeiszfeldResult oracle_geometric_median(
+    const GradientBatch& points, const WeiszfeldOptions& options = {}) {
+  if (points.empty()) {
+    throw std::invalid_argument("geometric_median: empty point list");
+  }
+  const std::size_t d = points.dim();
+  const std::size_t n = points.rows();
+  WeiszfeldResult result;
+
+  if (n == 1) {
+    result.point = points.row_copy(0);
+    result.converged = true;
+    return result;
+  }
+  if (n == 2) {
+    result.point = scale(add(points.row_copy(0), points.row_copy(1)), 0.5);
+    result.converged = true;
+    result.objective = oracle_objective(points, result.point);
+    return result;
+  }
+
+  // Majority property: if some point has multiplicity > n/2 it is the
+  // geometric median.  Rows are keyed by lexicographic comparison, so the
+  // key of each class is its first row.
+  {
+    const auto row_less = [d](const double* a, const double* b) {
+      return std::lexicographical_compare(a, a + d, b, b + d);
+    };
+    std::map<const double*, std::size_t, decltype(row_less)> counts(row_less);
+    for (std::size_t i = 0; i < n; ++i) ++counts[points.row(i)];
+    for (const auto& [p, c] : counts) {
+      if (2 * c > n) {
+        result.point.assign(p, p + d);
+        result.converged = true;
+        result.objective = oracle_objective(points, result.point);
+        return result;
+      }
+    }
+  }
+
+  const double spread = Hyperbox::bounding(points).diagonal();
+  if (spread == 0.0) {
+    // All points identical (not caught above only if n is even and split
+    // impossible; defensive).
+    result.point = points.row_copy(0);
+    result.converged = true;
+    return result;
+  }
+  // Start from the centroid, the standard initial iterate.
+  return oracle_coordinate_loop(points, mean(points), 0, spread, options);
+}
+
+// RFA's smoothed Weiszfeld as the naive loop: weights 1 / max(nu, dist),
+// one row at a time, from the centroid.
+inline WeiszfeldResult oracle_smoothed_geometric_median(
+    const GradientBatch& points, double nu,
+    const WeiszfeldOptions& options = {}) {
+  if (points.empty()) {
+    throw std::invalid_argument("smoothed_geometric_median: empty list");
+  }
+  if (nu <= 0.0) {
+    throw std::invalid_argument("smoothed_geometric_median: nu must be > 0");
+  }
+  const std::size_t d = points.dim();
+  WeiszfeldResult result;
+  if (points.rows() == 1) {
+    result.point = points.row_copy(0);
+    result.converged = true;
+    return result;
+  }
+  const double spread = Hyperbox::bounding(points).diagonal();
+  const double step_tol = options.tolerance * (1.0 + spread);
+  Vector y = mean(points);
+  for (std::size_t it = 0; it < options.max_iterations; ++it) {
+    result.iterations = it + 1;
+    Vector numerator = zeros(d);
+    double denominator = 0.0;
+    for (std::size_t i = 0; i < points.rows(); ++i) {
+      // Smoothing floor: the weight saturates once a point is within nu.
+      const double w =
+          1.0 / std::max(nu, oracle_row_distance(points.row(i), y));
+      kernels::axpy(numerator.data(), w, points.row(i), d);
+      denominator += w;
+    }
+    Vector next = scale(numerator, 1.0 / denominator);
+    const double step = distance(next, y);
+    y = std::move(next);
+    if (step <= step_tol) {
+      result.converged = true;
+      break;
+    }
+  }
+  result.point = std::move(y);
+  result.objective = oracle_objective(points, result.point);
   return result;
 }
 
